@@ -17,6 +17,7 @@ points are the vertices plus interior edge points (e, mu) with rational
 from fractions import Fraction
 
 from .distances import INFINITE, beyond, finite
+from .errors import CapExceeded, NotFinite
 from .monoids import DEFAULT_CAP, Element, enumerate_all
 
 RIGHT = "right"
@@ -149,37 +150,37 @@ def build_cayley_ball(m, radius, side=RIGHT, base=None, cap=DEFAULT_CAP):
     if base is None:
         base = m.identity
     gens = list(zip(m._gen_syms, m._gen_keys))
+    mul = m._mul_key
     start = base.key
     index = {start: 0}
     vertices = [start]
     lengths = [0]
+    edges = []
+    complete = []
+    # One product per (vertex, generator).  Vertices come in BFS order, so
+    # by the first vertex at the radius every ball vertex is indexed and
+    # boundary vertices only look their products up.
     i = 0
     while i < len(vertices):
         key = vertices[i]
         d = lengths[i]
-        i += 1
-        if d >= radius:
-            continue
-        for _sym, gk in gens:
-            nk = m._mul_key(key, gk) if side == RIGHT else m._mul_key(gk, key)
-            if nk not in index:
-                if len(vertices) >= cap:
-                    from .errors import CapExceeded
-
-                    raise CapExceeded(cap)
-                index[nk] = len(vertices)
-                vertices.append(nk)
-                lengths.append(d + 1)
-    edges = []
-    complete = [True] * len(vertices)
-    for u, key in enumerate(vertices):
+        inside = True
         for sym, gk in gens:
-            nk = m._mul_key(key, gk) if side == RIGHT else m._mul_key(gk, key)
+            nk = mul(key, gk) if side == RIGHT else mul(gk, key)
             t = index.get(nk)
             if t is None:
-                complete[u] = False
-            else:
-                edges.append((u, t, sym))
+                if d >= radius:
+                    inside = False
+                    continue
+                if len(vertices) >= cap:
+                    raise CapExceeded(cap)
+                t = len(vertices)
+                index[nk] = t
+                vertices.append(nk)
+                lengths.append(d + 1)
+            edges.append((i, t, sym))
+        complete.append(inside)
+        i += 1
     elems = [Element(m, k) for k in vertices]
     return CayleyBall(m, side, radius, base, elems, lengths, edges, complete)
 
@@ -188,8 +189,6 @@ def full_cayley_graph(m, side=RIGHT, cap=DEFAULT_CAP):
     """The whole Cayley graph of a finite monoid, every vertex complete."""
     elements = enumerate_all(m, cap)
     if elements is None:
-        from .errors import NotFinite
-
         raise NotFinite("monoid is not finite within cap %d" % cap)
     # enumerate_all is breadth-first, so the last discovery depth bounds
     # every word length; one extra step of slack keeps all vertices interior.
@@ -338,25 +337,18 @@ def schutzenberger_ball(m, h, radius, cap=DEFAULT_CAP):
     """
     ball = build_cayley_ball(m, radius, side=RIGHT, base=h, cap=cap)
     scc = strongly_connected_components(ball)
-    comp = set(scc.components[scc.comp_of[0]])
-    keep = [i for i in range(len(ball.vertices)) if i in comp]
+    keep = scc.components[scc.comp_of[0]]
     remap = {old: new for new, old in enumerate(keep)}
     vertices = [ball.vertices[i] for i in keep]
     lengths = [ball.lengths[i] for i in keep]
-    kept_keys = {v.key for v in vertices}
+    complete = [ball.complete[i] for i in keep]
     edges = []
-    complete = []
-    gens = list(zip(m._gen_syms, m._gen_keys))
-    for old in keep:
-        key = ball.vertices[old].key
-        ok = True
-        for sym, gk in gens:
-            nk = m._mul_key(key, gk)
-            if nk in kept_keys:
-                edges.append((remap[old], remap[ball.index[Element(m, nk)]], sym))
+    for u, v, sym in ball.edges:
+        if u in remap:
+            if v in remap:
+                edges.append((remap[u], remap[v], sym))
             else:
-                ok = False
-        complete.append(ok)
+                complete[remap[u]] = False
     return CayleyBall(m, RIGHT, radius, h, vertices, lengths, edges, complete)
 
 

@@ -286,8 +286,8 @@ def symmetrize(space, eps=0):
     """d'(x,y) = d(x,y) + d(y,x), with both certificates checked.
 
     The identity map into the symmetrized space is certified as a
-    (lam', eps, 0)-quasi-isometry with lam' = max(lam+1, lam/(lam+1)),
-    where lam is the least quasi-metricity constant at the given eps;
+    (lam', eps, 0)-quasi-isometry with lam' = lam + 1, where lam >= 1 is
+    the least quasi-metricity constant at the given eps;
     conversely the original space is checked to be
     (lam'^2, 2 lam' eps)-quasi-metric.
     """
@@ -308,7 +308,7 @@ def symmetrize(space, eps=0):
             if rows[i][j] != rows[j][i]:
                 metric_ok = False
 
-    lam_p = max(lam + 1, lam / (lam + 1))
+    lam_p = lam + 1
     identity = tuple(range(n))
     forward = QiConstants(lam_p, eps, 0)
     forward_ok = check_quasi_isometry(identity, space, sym, forward).ok

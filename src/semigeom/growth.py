@@ -108,12 +108,30 @@ def _fit(xs, ys):
     return slope, math.sqrt(max(sse, 0.0) / sst)
 
 
-def classify_growth(a, threshold=0.05):
-    """Heuristic growth-type estimate from the tail half of the window.
+def _exact_degree(values):
+    """Least d whose d-th differences over the whole sequence are one
+    constant repeated at least 3 times, or None."""
+    diffs = list(values)
+    d = 0
+    while len(diffs) >= 3:
+        if all(x == diffs[0] for x in diffs):
+            return d
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        d += 1
+    return None
 
-    Fits log g(m) against log m (polynomial) and against m (exponential);
-    reports the better fit when its relative residual beats the threshold,
-    preferring polynomial on ties.  Needs a window of length >= 8.
+
+def classify_growth(a, threshold=0.05):
+    """Growth-type estimate from the window.
+
+    A tail half that is constant gives degree 0.  Otherwise, when the
+    exact integer d-th differences over the whole window are constant for
+    some d (least such d, at least 3 values), the window is a degree-d
+    polynomial and Polynomial(d) is reported.  Failing both, a heuristic
+    fits log g(m) against log m (polynomial) and against m (exponential)
+    on the tail half and reports the better fit when its relative residual
+    beats the threshold, preferring polynomial on ties.  Needs a window of
+    length >= 8.
     """
     if a.window < 8:
         raise ValueError("classification needs a window of length >= 8")
@@ -121,6 +139,9 @@ def classify_growth(a, threshold=0.05):
     gs = [a[t] for t in ms]
     if gs[0] == gs[-1]:
         return Polynomial(0)
+    degree = _exact_degree(a.values)
+    if degree is not None:
+        return Polynomial(degree)
     ys = [math.log(g) for g in gs]
     poly_slope, poly_res = _fit([math.log(t) for t in ms], ys)
     exp_slope, exp_res = _fit(list(ms), ys)

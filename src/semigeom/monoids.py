@@ -146,7 +146,8 @@ class RewritingMonoid(Monoid):
             self._gen_keys.append(system.normalize(tuple(word)))
 
     def _mul_key(self, a, b):
-        return self.system.normalize(a + b)
+        # keys are normal forms, which normal_product requires of a
+        return self.system.normal_product(a, b)
 
     def _key_name(self, key):
         if not key:

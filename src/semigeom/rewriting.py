@@ -87,6 +87,13 @@ class RewritingSystem:
                 )
             norm_rules.append(Rule(lhs, rhs))
         self.rules = tuple(norm_rules)
+        # a rule can only fire right after its last symbol was appended
+        by_last = {}
+        for rule in self.rules:
+            by_last.setdefault(rule.lhs[-1], []).append(
+                (list(rule.lhs), len(rule.lhs), rule.rhs[::-1])
+            )
+        self._rules_by_last = by_last
         self.completeness = UNVERIFIED
         if verify:
             failure = self.check_complete()
@@ -119,18 +126,32 @@ class RewritingSystem:
         """
         word = tuple(word)
         self._require_known(word)
-        out = []
+        return self._rewrite([], word)
+
+    def normal_product(self, u, v):
+        """The normal form of the concatenation u + v, for irreducible u.
+
+        No rule fires inside an irreducible prefix, so the scan starts after
+        u instead of re-reading it.  Nothing is checked: u must be
+        irreducible and both words must be over the alphabet, as normal
+        forms returned by normalize() are.
+        """
+        return self._rewrite(list(u), v)
+
+    def _rewrite(self, out, word):
+        """Feed word's symbols onto the irreducible prefix out, rewriting
+        as normalize() describes; only the rules ending in the symbol just
+        appended are tried."""
+        rules_by_last = self._rules_by_last
         pending = list(word)
         pending.reverse()
-        rules = self.rules
         while pending:
-            out.append(pending.pop())
-            for rule in rules:
-                lhs = rule.lhs
-                n = len(lhs)
-                if len(out) >= n and tuple(out[len(out) - n :]) == lhs:
-                    del out[len(out) - n :]
-                    pending.extend(reversed(rule.rhs))
+            sym = pending.pop()
+            out.append(sym)
+            for lhs, n, rev_rhs in rules_by_last.get(sym, ()):
+                if out[-n:] == lhs:
+                    del out[-n:]
+                    pending.extend(rev_rhs)
                     break
         return tuple(out)
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from semigeom import geometry
 from semigeom.monoids import TransformationMonoid
+from semigeom.rewriting import RewritingSystem
 
 
 def rand_transformation_monoid(rng, max_degree=4, max_gens=3):
@@ -20,6 +21,13 @@ def rand_transformation_monoid(rng, max_degree=4, max_gens=3):
         for i in range(count)
     ]
     return TransformationMonoid(degree, gens)
+
+
+def free_comm_system(k):
+    """The free commutative monoid of rank k: rules ba -> ab for a < b."""
+    letters = "abcdefghijklmnopqrstuvwxyz"[:k]
+    rules = [(b + a, a + b) for i, a in enumerate(letters) for b in letters[i + 1:]]
+    return RewritingSystem(tuple(letters), rules)
 
 
 def rand_space(rng, n):

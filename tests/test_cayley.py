@@ -32,6 +32,7 @@ from semigeom.cayley import (
 )
 from semigeom.distances import INFINITE, beyond, finite
 from semigeom.errors import CapExceeded, NotFinite
+from semigeom.monoids import TransformationMonoid
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,120 @@ def test_schutzenberger_ball_finite_group():
     sb = schutzenberger_ball(m, m.identity, 5)
     assert len(sb) == 3
     assert all(sb.complete)
+
+
+# -- one product per slot against the two-pass build --------------------------------
+
+
+def two_pass_ball(m, radius, side, base, cap):
+    """Reference build: a BFS pass for the vertices, then an edge pass that
+    multiplies every (vertex, generator) slot again."""
+    gens = list(zip(m._gen_syms, m._gen_keys))
+
+    def step(key, gk):
+        return m._mul_key(key, gk) if side == cayley.RIGHT else m._mul_key(gk, key)
+
+    index = {base.key: 0}
+    vertices = [base.key]
+    lengths = [0]
+    i = 0
+    while i < len(vertices):
+        key, d = vertices[i], lengths[i]
+        i += 1
+        if d >= radius:
+            continue
+        for _sym, gk in gens:
+            nk = step(key, gk)
+            if nk not in index:
+                if len(vertices) >= cap:
+                    raise CapExceeded(cap)
+                index[nk] = len(vertices)
+                vertices.append(nk)
+                lengths.append(d + 1)
+    edges = []
+    complete = [True] * len(vertices)
+    for u, key in enumerate(vertices):
+        for sym, gk in gens:
+            t = index.get(step(key, gk))
+            if t is None:
+                complete[u] = False
+            else:
+                edges.append((u, t, sym))
+    return vertices, lengths, edges, complete
+
+
+def t4():
+    return TransformationMonoid(
+        4, [("s", [1, 2, 3, 0]), ("t", [1, 0, 2, 3]), ("e", [0, 0, 2, 3])]
+    )
+
+
+BALL_CASES = [
+    ("free2", lambda: catalog.monoid("free2"), 5),
+    ("free-comm3", lambda: catalog.monoid("free-comm3"), 4),
+    ("bicyclic", lambda: catalog.monoid("bicyclic"), 6),
+    ("integers", lambda: catalog.monoid("integers"), 6),
+    ("t4", t4, 4),
+    ("bicyclic-x-z2", lambda: catalog.product("bicyclic", "z2"), 4),
+]
+
+
+def non_identity_base(m):
+    gens = [g for _, g in m.generators()]
+    return m.multiply(gens[0], gens[-1])
+
+
+@pytest.mark.parametrize("name,make,radius", BALL_CASES, ids=[c[0] for c in BALL_CASES])
+@pytest.mark.parametrize("side", [cayley.RIGHT, cayley.LEFT])
+def test_ball_matches_two_pass_build(name, make, radius, side):
+    m = make()
+    for base in (m.identity, non_identity_base(m)):
+        ball = build_cayley_ball(m, radius, side=side, base=base)
+        vertices, lengths, edges, complete = two_pass_ball(m, radius, side, base, 10**6)
+        assert [v.key for v in ball.vertices] == vertices
+        assert ball.lengths == lengths
+        assert ball.edges == edges
+        assert ball.complete == complete
+
+
+@pytest.mark.parametrize("name,make,radius", BALL_CASES, ids=[c[0] for c in BALL_CASES])
+def test_ball_cap_matches_two_pass_build(name, make, radius):
+    m = make()
+    base = non_identity_base(m)
+    r = min(radius, 3)
+    size = len(build_cayley_ball(m, r, base=base))
+    for cap in range(1, size + 2):
+        try:
+            two_pass_ball(m, r, cayley.RIGHT, base, cap)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                build_cayley_ball(m, r, base=base, cap=cap)
+        else:
+            assert len(build_cayley_ball(m, r, base=base, cap=cap)) == size
+
+
+@pytest.mark.parametrize("name,make,radius", BALL_CASES, ids=[c[0] for c in BALL_CASES])
+def test_schutzenberger_ball_matches_recomputed_products(name, make, radius):
+    m = make()
+    for h in (m.identity, non_identity_base(m)):
+        sb = schutzenberger_ball(m, h, radius)
+        kept = {v.key: i for i, v in enumerate(sb.vertices)}
+        edges = []
+        complete = []
+        for u, x in enumerate(sb.vertices):
+            ok = True
+            for sym, g in m.generators():
+                t = kept.get(m.multiply(x, g).key)
+                if t is None:
+                    ok = False
+                else:
+                    edges.append((u, t, sym))
+            complete.append(ok)
+        assert sb.edges == edges
+        assert sb.complete == complete
+        ball = build_cayley_ball(m, radius, base=h)
+        scc = strongly_connected_components(ball)
+        assert [ball.index[x] for x in sb.vertices] == scc.components[scc.comp_of[0]]
 
 
 # -- realization ------------------------------------------------------------------

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from conftest import free_comm_system
 from semigeom import catalog
 from semigeom.errors import CapExceeded
 from semigeom.growth import (
@@ -27,7 +28,7 @@ from semigeom.growth import (
     ends_profile,
     growth_sequence,
 )
-from semigeom.monoids import enumerate_out_ball
+from semigeom.monoids import RewritingMonoid, enumerate_out_ball
 
 
 def free2_formula(window):
@@ -192,6 +193,21 @@ def test_classify_inconclusive_on_staircase():
     verdict = classify_growth(GrowthSequence(values))
     assert isinstance(verdict, Inconclusive)
     assert "residual" in verdict.reason
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_classify_names_free_commutative_rank(k):
+    full = growth_sequence(RewritingMonoid(free_comm_system(k)), 13)
+    assert full.values == comm_formula(k, 13).values
+    for w in range(8, 14):
+        assert classify_growth(GrowthSequence(full.values[: w + 1])) == Polynomial(k), w
+
+
+def test_classify_keeps_other_catalog_verdicts():
+    for w in range(8, 14):
+        assert classify_growth(seq("bicyclic", w)) == Polynomial(2)
+        assert classify_growth(seq("integers", w)) == Polynomial(1)
+        assert classify_growth(seq("free2", w)) == Exponential(2.01 if w <= 10 else 2.0)
 
 
 def test_classify_needs_window():

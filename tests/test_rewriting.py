@@ -7,10 +7,13 @@ cancellation.  Joinability is cross-checked by brute breadth-first search.
 """
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_joinable, one_step_reducts
+from conftest import brute_joinable, free_comm_system, one_step_reducts
 from semigeom.errors import UnknownSymbol
 from semigeom.rewriting import (
     COMPLETE,
@@ -203,3 +206,98 @@ def test_joinability_equals_normal_form_equality(system):
     for u in words[: len(words) // 2]:
         for v in words[: len(words) // 2]:
             assert brute_joinable(system, u, v) == (nfs[u] == nfs[v])
+
+
+# -- the scan kernel against the unindexed scan ---------------------------------
+
+
+def reference_normalize(system, word):
+    """The scan without the rule index: after each appended symbol, every
+    rule is tried in declaration order against the end of the prefix."""
+    out = []
+    pending = list(word)
+    pending.reverse()
+    rules = system.rules
+    while pending:
+        out.append(pending.pop())
+        for rule in rules:
+            lhs = rule.lhs
+            n = len(lhs)
+            if len(out) >= n and tuple(out[len(out) - n :]) == lhs:
+                del out[len(out) - n :]
+                pending.extend(reversed(rule.rhs))
+                break
+    return tuple(out)
+
+
+def rejected_ab():
+    return RewritingSystem(("a", "b"), [("ab", "a"), ("ba", "b")], verify=False)
+
+
+def rejected_same_last():
+    # both rules end in b, and which fires first decides the normal form
+    return RewritingSystem(("a", "b"), [("ab", ""), ("b", "a")], verify=False)
+
+
+@pytest.mark.parametrize(
+    "system", [comm2(), bicyclic(), integers(), rejected_ab(), rejected_same_last()],
+    ids=["comm2", "bicyclic", "integers", "rejected-ab", "rejected-same-last"],
+)
+def test_normalize_matches_unindexed_scan(system):
+    for w in all_words(system.alphabet, 6):
+        assert system.normalize(w) == reference_normalize(system, w), w
+
+
+def test_normalize_matches_unindexed_scan_free_comm10():
+    # 45 rules; every word to length 6 would be 1.1M words, so all words to
+    # length 4 plus a seeded sample of longer ones
+    system = free_comm_system(10)
+    assert len(system.rules) == 45
+    for w in all_words(system.alphabet, 4):
+        assert system.normalize(w) == reference_normalize(system, w), w
+    rng = random.Random(10)
+    for _ in range(3000):
+        w = tuple(rng.choice(system.alphabet) for _ in range(rng.randint(5, 12)))
+        assert system.normalize(w) == reference_normalize(system, w), w
+
+
+@pytest.mark.parametrize(
+    "system", [comm2(), bicyclic(), integers(), rejected_ab(), free_comm_system(4)],
+    ids=["comm2", "bicyclic", "integers", "rejected-ab", "free-comm4"],
+)
+def test_normal_product_is_normal_form_of_concatenation(system):
+    nfs = sorted({system.normalize(w) for w in all_words(system.alphabet, 3)})
+    for u in nfs:
+        for v in nfs:
+            assert system.normal_product(u, v) == system.normalize(u + v), (u, v)
+
+
+SMALL_ALPHABET = ("a", "b", "c")
+small_words = st.lists(st.sampled_from(SMALL_ALPHABET), max_size=3).map(tuple)
+
+
+@st.composite
+def unverified_systems(draw):
+    """Shortlex-reducing rule sets over a, b, c, complete or not."""
+    rules = []
+    for u, v in draw(st.lists(st.tuples(small_words, small_words), max_size=6)):
+        if u != v:
+            # ranks follow string order on this alphabet
+            rules.append((u, v) if (len(v), v) < (len(u), u) else (v, u))
+    return RewritingSystem(SMALL_ALPHABET, rules, verify=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(unverified_systems())
+def test_normalize_matches_unindexed_scan_on_drawn_systems(system):
+    for w in all_words(SMALL_ALPHABET, 6):
+        assert system.normalize(w) == reference_normalize(system, w), (system, w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(unverified_systems())
+def test_normal_product_on_drawn_systems(system):
+    nfs = sorted({system.normalize(w) for w in all_words(SMALL_ALPHABET, 3)})
+    for u in nfs:
+        for v in nfs:
+            assert system.normal_product(u, v) == system.normalize(u + v), (system, u, v)
