@@ -15,8 +15,9 @@ points are the vertices plus interior edge points (e, mu) with rational
 """
 
 from fractions import Fraction
+from itertools import repeat
 
-from .distances import INFINITE, beyond, finite
+from .distances import INFINITE, ExtDist, beyond, finite, map_rows
 from .errors import CapExceeded, NotFinite
 from .monoids import DEFAULT_CAP, Element, enumerate_all
 
@@ -132,10 +133,25 @@ class CayleyBall:
         return labels
 
     def distance_matrix(self):
-        return [
-            [self.distance(i, j) for j in range(len(self.vertices))]
-            for i in range(len(self.vertices))
-        ]
+        """All distance(u, v) as rows, one BFS per source.
+
+        Entries follow the rule of distance(); equal entries are one shared
+        ExtDist instance.
+        """
+        n = len(self.vertices)
+        stamp = beyond(self.radius)
+        # lookup[d] is the entry for BFS depth d; index -1 (unreached) is
+        # the last slot, which depends on the source's closure
+        depths = [finite(d) for d in range(self.radius + 1)]
+        depths += [stamp] * (n - len(depths))
+        closed = depths + [INFINITE]
+        truncated = depths + [stamp]
+        rows = []
+        for s in range(n):
+            dist, _parents, all_complete = self._bfs_from(s)
+            lookup = closed if all_complete else truncated
+            rows.append(list(map(lookup.__getitem__, dist)))
+        return rows
 
 
 def build_cayley_ball(m, radius, side=RIGHT, base=None, cap=DEFAULT_CAP):
@@ -487,11 +503,9 @@ def export_dot(ball):
 
 def distance_table(ball):
     """One line per ordered vertex pair: "u<TAB>v<TAB>d"."""
+    names = [ball.name(i) for i in range(len(ball.vertices))]
+    texts = map_rows(ExtDist.format, ball.distance_matrix())
     lines = []
-    n = len(ball.vertices)
-    for i in range(n):
-        for j in range(n):
-            lines.append(
-                "%s\t%s\t%s" % (ball.name(i), ball.name(j), ball.distance(i, j).format())
-            )
+    for u, row in zip(names, texts):
+        lines.extend(map("%s\t%s\t%s".__mod__, zip(repeat(u), names, row)))
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Loading and dumping of monoid, space, and map description dicts.
+"""Loading of monoid, space, and map description dicts; dumping of spaces.
 
 The on-disk format is JSON.  Rationals serialize as "p/q" strings (plain
 integers are accepted); infinity in a distance matrix is null.  Loading a
@@ -9,8 +9,6 @@ associativity), so a loaded backend is always in a valid state.
 from fractions import Fraction
 
 from . import geometry
-from .distances import INFINITE, finite
-from .errors import InvalidSpace
 from .monoids import (
     ProductMonoid,
     RewritingMonoid,
@@ -53,10 +51,6 @@ def load_monoid(desc):
     raise ValueError("unknown monoid kind %r" % kind)
 
 
-def dump_monoid(m):
-    return m.description()
-
-
 def parse_rational(value):
     if isinstance(value, bool) or value is None:
         raise ValueError("expected a rational, got %r" % value)
@@ -76,19 +70,12 @@ def load_space(desc):
     rows = desc["dist"]
     if len(rows) != len(points) or any(len(r) != len(points) for r in rows):
         raise ValueError("dist matrix must be %d x %d" % (len(points), len(points)))
-    matrix = []
-    for row in rows:
-        out = []
-        for v in row:
-            if v is None:
-                out.append(INFINITE)
-            else:
-                out.append(finite(parse_rational(v)))
-        matrix.append(out)
-    violation = geometry.check_axioms(points, matrix)
-    if violation is not None:
-        raise InvalidSpace(violation)
-    return geometry.Space(tuple(points), tuple(tuple(r) for r in matrix))
+    # parsed as make_space consumes them, so a bad entry is reported in
+    # matrix order whether it fails parsing or the nonnegativity check
+    matrix = (
+        (None if v is None else parse_rational(v) for v in row) for row in rows
+    )
+    return geometry.make_space(points, matrix)
 
 
 def dump_space(space):
@@ -121,7 +108,3 @@ def load_point_map(desc, source, target):
             raise ValueError("unknown target point %r" % name)
         out.append(index[name])
     return tuple(out)
-
-
-def dump_point_map(f, target):
-    return {"map": [target.points[i] for i in f]}

@@ -102,3 +102,14 @@ def beyond(horizon):
 INFINITE = ExtDist(_INFINITE)
 
 ZERO = finite(0)
+
+
+def map_rows(fn, matrix):
+    """Rows of fn(d) over a matrix of ExtDist entries, calling fn once per
+    distinct instance (ball distance matrices share one instance per
+    value, so that is once per value)."""
+    instances = {}
+    for row in matrix:
+        instances.update(zip(map(id, row), row))
+    image = {key: fn(d) for key, d in instances.items()}
+    return [list(map(image.__getitem__, map(id, row))) for row in matrix]

@@ -5,7 +5,10 @@ checks treat infinity per the usual conventions (it absorbs sums and
 positive scaling; an inequality with infinity on the smaller side holds
 only when the larger side is infinite too) and skip pairs carrying a
 horizon stamp, counting them so reports can say how much was left
-undecided.
+undecided.  The axiom and embedding checks decode a matrix once into rows
+of exact numbers (ints where the rational is integral, Fractions
+otherwise, float infinity for infinity) and compare whole rows at a time;
+finite comparisons never go through floating point.
 
 The quasi-isometric embedding inequalities for a map f and constants
 (lambda, epsilon) are
@@ -19,8 +22,10 @@ and reports then label the claim isometric-grade.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add, gt
 
-from .distances import INFINITE, ZERO, ExtDist, beyond, finite
+from .distances import INFINITE, ZERO, ExtDist, beyond, finite, map_rows
 from .errors import (
     CapExceeded,
     InvalidSpace,
@@ -57,6 +62,26 @@ class Space:
         return all(d.is_decisive() for row in self.dist for d in row)
 
 
+_INF = float("inf")
+
+
+def _exact(q):
+    """An int when the rational is integral, else the rational itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _decode(dist, stamp):
+    """The matrix as rows of exact numbers: finite entries via _exact,
+    infinity as float infinity and horizon stamps as the given stamp."""
+
+    def number(d):
+        if d.is_finite():
+            return _exact(d.value)
+        return _INF if d.is_infinite() else stamp
+
+    return map_rows(number, dist)
+
+
 def check_axioms(points, dist):
     """First semimetric-axiom violation, or None.
 
@@ -64,28 +89,29 @@ def check_axioms(points, dist):
     witness a violation.
     """
     n = len(points)
+    lhs = _decode(dist, -1)
+    rhs = _decode(dist, _INF)
     for i in range(n):
-        dii = dist[i][i]
-        if not (dii.is_finite() and dii.value == 0):
+        # a stamp (-1) or infinity is not a zero either
+        if lhs[i][i] != 0:
             return Violation("diagonal", (i,))
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            dij = dist[i][j]
-            if dij.is_finite() and dij.value <= 0:
+        for j, dij in enumerate(rhs[i]):
+            if i != j and dij <= 0:
                 return Violation("positivity", (i, j))
+    # triangle d(i,k) <= d(i,j) + d(j,k), all k of one (i, j) at once.
+    # Entries are nonnegative here, so a stamp on the left (-1) never
+    # exceeds a sum, infinity on the left always exceeds a finite one, and
+    # a stamp or infinity on the right (an infinite sum) exempts the triple.
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = dist[i][k]
-                a, b = dist[i][j], dist[j][k]
-                if left.is_beyond() or a.is_beyond() or b.is_beyond():
-                    continue
-                if a.is_infinite() or b.is_infinite():
-                    continue
-                if left.is_infinite() or left.value > a.value + b.value:
-                    return Violation("triangle", (i, j, k))
+        left = lhs[i]
+        for j, a in enumerate(rhs[i]):
+            if a == _INF:
+                continue
+            right = rhs[j]
+            if any(map(gt, left, map(add, repeat(a), right))):
+                k = next(k for k in range(n) if left[k] > a + right[k])
+                return Violation("triangle", (i, j, k))
     return None
 
 
@@ -182,33 +208,34 @@ def check_qi_embedding(f, source, target, lam, eps):
     """Check both embedding inequalities on every ordered pair; the first
     violation (row-major) is reported.  Horizon-stamped pairs are skipped
     and counted."""
-    lam = Fraction(lam)
-    eps = Fraction(eps)
+    lam = _exact(Fraction(lam))
+    eps = _exact(Fraction(eps))
     checked = 0
     skipped = 0
-    n = len(source)
-    for i in range(n):
-        for j in range(n):
-            dx = source.dist[i][j]
-            dy = target.dist[f[i]][f[j]]
-            if dx.is_beyond() or dy.is_beyond():
+    src = _decode(source.dist, None)
+    tgt = _decode(target.dist, None)
+    for i, xrow in enumerate(src):
+        yrow = tgt[f[i]]
+        for j, dx in enumerate(xrow):
+            dy = yrow[f[j]]
+            if dx is None or dy is None:
                 skipped += 1
                 continue
             checked += 1
             # lower: (1/lam) dx - eps <= dy, i.e. dx <= lam dy + lam eps
-            if dx.is_infinite():
-                if not dy.is_infinite():
+            if dx == _INF:
+                if dy != _INF:
                     return EmbeddingReport(False, PairViolation(i, j, "lower"),
                                            checked, skipped)
                 continue
-            if not dy.is_infinite() and dx.value > lam * (dy.value + eps):
+            if dy != _INF and dx > lam * (dy + eps):
                 return EmbeddingReport(False, PairViolation(i, j, "lower"),
                                        checked, skipped)
             # upper: dy <= lam dx + eps
-            if dy.is_infinite():
+            if dy == _INF:
                 return EmbeddingReport(False, PairViolation(i, j, "upper"),
                                        checked, skipped)
-            if dy.value > lam * dx.value + eps:
+            if dy > lam * dx + eps:
                 return EmbeddingReport(False, PairViolation(i, j, "upper"),
                                        checked, skipped)
     return EmbeddingReport(True, None, checked, skipped)

@@ -12,6 +12,7 @@ as its horizon stamp.
 import math
 from dataclasses import dataclass
 
+from .cayley import build_cayley_ball
 from .monoids import DEFAULT_CAP, enumerate_out_ball
 
 
@@ -207,22 +208,18 @@ def ends_profile(m, kmax, r, cap=DEFAULT_CAP):
     """
     if r < 1 or kmax >= r:
         raise ValueError("need 0 <= kmax < r with r >= 1")
-    ball = enumerate_out_ball(m, r, cap)
-    index = {le.element.key: i for i, le in enumerate(ball)}
-    lengths = [le.length for le in ball]
-    adjacency = [set() for _ in ball]
-    gens = [g for _, g in m.generators()]
-    for i, le in enumerate(ball):
-        for g in gens:
-            j = index.get(m.multiply(le.element, g).key)
-            if j is not None and j != i:
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+    ball = build_cayley_ball(m, r, cap=cap)
+    lengths = ball.lengths
+    adjacency = [set() for _ in lengths]
+    for i, j, _label in ball.edges:
+        if j != i:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
 
     ks = tuple(range(kmax + 1))
     counts = tuple(_sphere_components(lengths, adjacency, k, r) for k in ks)
     # the radius-(r-1) ball is the induced subgraph on {l <= r-1}
-    keep = [i for i in range(len(ball)) if lengths[i] <= r - 1]
+    keep = [i for i in range(len(lengths)) if lengths[i] <= r - 1]
     remap = {old: new for new, old in enumerate(keep)}
     in_lengths = [lengths[i] for i in keep]
     in_adj = [

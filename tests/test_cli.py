@@ -533,3 +533,18 @@ def test_invalid_space_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "quasimetric", "--source", str(path))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("dist,reason", [
+    ([[0, "-1"], ["x", 0]], "error: distances are nonnegative, got -1"),
+    ([[0, "x"], ["-1", 0]], "error: Invalid literal for Fraction: 'x'"),
+    ([[0, True], [1, 0]], "error: expected a rational, got True"),
+    ([[0, 1], [1]], "error: dist matrix must be 2 x 2"),
+    ([[0, 1], [1, 1]],
+     "error: semimetric axioms violated: Violation(kind='diagonal', points=(1,))"),
+])
+def test_space_load_reports_first_bad_entry(capsys, tmp_path, dist, reason):
+    path = write_json(tmp_path, "bad.space", {"points": ["u", "v"], "dist": dist})
+    code, _, err = run(capsys, "quasimetric", "--source", str(path))
+    assert code == 2
+    assert reason + "\n" in err

@@ -15,6 +15,7 @@ from conftest import free_comm_system
 from semigeom import catalog
 from semigeom.errors import CapExceeded
 from semigeom.growth import (
+    EndsProfile,
     Exponential,
     GrowingAtLeast,
     GrowthSequence,
@@ -24,6 +25,7 @@ from semigeom.growth import (
     Witness,
     check_domination,
     classify_growth,
+    _sphere_components,
     dominates_within,
     ends_profile,
     growth_sequence,
@@ -267,3 +269,82 @@ def test_ends_validation():
         ends_profile(m, 3, 0)
     with pytest.raises(ValueError):
         ends_profile(m, 5, 5)
+
+
+# -- ends from the ball's edges against the re-multiplied adjacency --------------------
+
+
+def reference_ends_profile(m, kmax, r, cap):
+    """ends_profile with its former adjacency: enumerate the ball, then
+    multiply every element by every generator again."""
+    ball = enumerate_out_ball(m, r, cap)
+    index = {le.element.key: i for i, le in enumerate(ball)}
+    lengths = [le.length for le in ball]
+    adjacency = [set() for _ in ball]
+    gens = [g for _, g in m.generators()]
+    for i, le in enumerate(ball):
+        for g in gens:
+            j = index.get(m.multiply(le.element, g).key)
+            if j is not None and j != i:
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    ks = tuple(range(kmax + 1))
+    counts = tuple(_sphere_components(lengths, adjacency, k, r) for k in ks)
+    keep = [i for i in range(len(ball)) if lengths[i] <= r - 1]
+    remap = {old: new for new, old in enumerate(keep)}
+    in_lengths = [lengths[i] for i in keep]
+    in_adj = [{remap[v] for v in adjacency[i] if lengths[v] <= r - 1} for i in keep]
+    counts_inner = tuple(_sphere_components(in_lengths, in_adj, k, r - 1) for k in ks)
+    top = ks[len(ks) // 2:]
+    stable_n = counts[top[0]]
+    if all(counts[k] == stable_n for k in top) and all(
+        counts_inner[k] == stable_n for k in top
+    ):
+        verdict = Stable(stable_n)
+    elif all(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
+        verdict = GrowingAtLeast(counts)
+    else:
+        verdict = Inconclusive("counts neither stable on top half nor increasing")
+    return EndsProfile(ks, r, counts, counts_inner, verdict, r)
+
+
+# (name, (radius, kmax) pairs) as the ends jobs of the benchmark run them
+ENDS_CASES = [
+    ("free2", [(5, 2), (8, 4)]),
+    ("free-comm2", [(6, 3), (10, 4)]),
+    ("free-comm3", [(5, 2), (8, 3)]),
+    ("bicyclic", [(6, 3), (12, 4)]),
+    ("integers", [(8, 2), (16, 4)]),
+]
+
+
+@pytest.mark.parametrize("name,cases", ENDS_CASES, ids=[c[0] for c in ENDS_CASES])
+def test_ends_matches_remultiplied_adjacency(name, cases):
+    m = catalog.monoid(name)
+    for r, kmax in cases:
+        assert ends_profile(m, kmax, r) == reference_ends_profile(m, kmax, r, 10**6)
+    r, kmax = cases[0]
+    size = len(enumerate_out_ball(m, r))
+    for cap in range(1, size + 2):
+        try:
+            want = reference_ends_profile(m, kmax, r, cap)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                ends_profile(m, kmax, r, cap=cap)
+        else:
+            assert ends_profile(m, kmax, r, cap=cap) == want
+
+
+def test_ends_makes_one_product_per_slot():
+    m = catalog.monoid("free-comm3")
+    products = []
+    mul = m._mul_key
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    m._mul_key = counted
+    ends_profile(m, 4, 8)
+    # the radius-8 ball of free-comm3 has C(11, 3) = 165 elements
+    assert len(products) == 165 * 3 == len(set(products))
