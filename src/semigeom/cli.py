@@ -49,8 +49,27 @@ def _load_space(path):
     return descriptions.load_space(_load_json(path))
 
 
-def _frac(text):
-    return Fraction(text)
+def _checked(parse, expected, ok):
+    """An argparse type: parse the text, or reject it with a one-line
+    reason when it does not parse or fails the range check."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+        return value
+
+    return convert
+
+
+# radii, caps and lengths; rationals per the definitions, which need
+# epsilon, mu >= 0 and lambda > 0
+_count = _checked(int, "an integer >= 0", lambda n: n >= 0)
+_nonnegative = _checked(descriptions.parse_rational, "a rational >= 0", lambda q: q >= 0)
+_positive = _checked(descriptions.parse_rational, "a rational > 0", lambda q: q > 0)
 
 
 def _fmt(q):
@@ -427,25 +446,25 @@ def build_parser():
     def add(name, handler, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(func=handler)
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        p.add_argument("--cap", type=_count, default=DEFAULT_CAP,
                        help="element enumeration cap")
         return p
 
     p = add("ball", cmd_ball, help="enumerate a Cayley ball")
     p.add_argument("--monoid", required=True)
-    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
+    p.add_argument("--radius", type=_count, default=DEFAULT_RADIUS)
     p.add_argument("--format", choices=["table", "dot", "distances"],
                    default="table")
 
     p = add("dist", cmd_dist, help="in-ball distance between two elements")
     p.add_argument("--monoid", required=True)
-    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
+    p.add_argument("--radius", type=_count, default=DEFAULT_RADIUS)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
 
     p = add("poset", cmd_poset, help="ball components and their order")
     p.add_argument("--monoid", required=True)
-    p.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
+    p.add_argument("--radius", type=_count, default=DEFAULT_RADIUS)
 
     p = add("green", cmd_green, help="Green's relations of a finite monoid")
     p.add_argument("--monoid", required=True)
@@ -453,29 +472,29 @@ def build_parser():
     p = add("schutz", cmd_schutz, help="Schutzenberger graph and group")
     p.add_argument("--monoid", required=True)
     p.add_argument("--element", default=None)
-    p.add_argument("--radius", type=int, default=8)
+    p.add_argument("--radius", type=_count, default=8)
     p.add_argument("--format", choices=["table", "dot"], default="table")
-    p.add_argument("--probe-cap", dest="probe_cap", type=int,
+    p.add_argument("--probe-cap", dest="probe_cap", type=_count,
                    default=green.PROBE_CAP,
                    help="finiteness probe limit before evidence mode")
 
     p = add("act", cmd_act, help="check the Schutzenberger group action")
     p.add_argument("--monoid", required=True)
     p.add_argument("--element", default=None)
-    p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--probe-cap", dest="probe_cap", type=int,
+    p.add_argument("--radius", type=_count, default=8)
+    p.add_argument("--probe-cap", dest="probe_cap", type=_count,
                    default=green.PROBE_CAP,
                    help="finiteness probe limit before evidence mode")
 
     p = add("svarc", cmd_svarc, help="extract generators from a group action")
     p.add_argument("--monoid", required=True)
     p.add_argument("--element", default=None)
-    p.add_argument("--ball-radius", dest="ball_radius", type=int, default=1)
-    p.add_argument("--l", dest="l", type=int, default=1)
+    p.add_argument("--ball-radius", dest="ball_radius", type=_count, default=1)
+    p.add_argument("--l", dest="l", type=_count, default=1)
 
     p = add("growth", cmd_growth, help="growth sequence and domination")
     p.add_argument("--monoid", required=True)
-    p.add_argument("--mmax", type=int, default=20)
+    p.add_argument("--mmax", type=_count, default=20)
     p.add_argument("--classify", action="store_true")
     p.add_argument("--other", default=None,
                    help="second monoid: check domination instead")
@@ -484,32 +503,32 @@ def build_parser():
 
     p = add("ends", cmd_ends, help="estimate the number of ends")
     p.add_argument("--monoid", required=True)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--radius", type=int, default=12)
+    p.add_argument("--kmax", type=_count, default=4)
+    p.add_argument("--radius", type=_count, default=12)
 
     p = add("qi-check", cmd_qi_check, help="verify a quasi-isometry claim")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--map", required=True)
-    p.add_argument("--lambda", dest="lam", type=_frac, required=True)
-    p.add_argument("--epsilon", type=_frac, required=True)
-    p.add_argument("--mu", type=_frac, required=True)
+    p.add_argument("--lambda", dest="lam", type=_positive, required=True)
+    p.add_argument("--epsilon", type=_nonnegative, required=True)
+    p.add_argument("--mu", type=_nonnegative, required=True)
 
     p = add("qi-search", cmd_qi_search, help="search for a quasi-isometry")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--lambda-max", dest="lambda_max", type=_frac, default=Fraction(4))
-    p.add_argument("--eps-max", dest="eps_max", type=_frac, default=Fraction(4))
-    p.add_argument("--mu-max", dest="mu_max", type=_frac, default=Fraction(2))
+    p.add_argument("--lambda-max", dest="lambda_max", type=_positive, default=Fraction(4))
+    p.add_argument("--eps-max", dest="eps_max", type=_nonnegative, default=Fraction(4))
+    p.add_argument("--mu-max", dest="mu_max", type=_nonnegative, default=Fraction(2))
     p.set_defaults(cap=SEARCH_CAP)
 
     p = add("quasimetric", cmd_quasimetric, help="least quasi-metricity constant")
     p.add_argument("--source", required=True)
-    p.add_argument("--epsilon", type=_frac, default=Fraction(0))
+    p.add_argument("--epsilon", type=_nonnegative, default=Fraction(0))
 
     p = add("symmetrize", cmd_symmetrize, help="symmetrize a space, with certificates")
     p.add_argument("--source", required=True)
-    p.add_argument("--epsilon", type=_frac, default=Fraction(0))
+    p.add_argument("--epsilon", type=_nonnegative, default=Fraction(0))
     p.add_argument("--out", default=None, help="write the space JSON here")
 
     p = add("quotient", cmd_quotient, help="check a quotient or projection map")
@@ -517,7 +536,7 @@ def build_parser():
     p.add_argument("--classes", default=None, help="JSON list of class member lists")
     p.add_argument("--projection", action="store_true",
                    help="product monoid: project onto the left factor")
-    p.add_argument("--radius", type=int, default=8)
+    p.add_argument("--radius", type=_count, default=8)
 
     return parser
 

@@ -57,7 +57,10 @@ def parse_rational(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % value) from None
     raise ValueError("expected int or 'p/q' string, got %r" % value)
 
 
@@ -67,6 +70,11 @@ def format_rational(q):
 
 def load_space(desc):
     points = [str(p) for p in desc["points"]]
+    seen = set()
+    for name in points:
+        if name in seen:
+            raise ValueError("duplicate point name %r" % name)
+        seen.add(name)
     rows = desc["dist"]
     if len(rows) != len(points) or any(len(r) != len(points) for r in rows):
         raise ValueError("dist matrix must be %d x %d" % (len(points), len(points)))

@@ -8,6 +8,7 @@ through sums so that derived quantities stay honestly marked.
 """
 
 from fractions import Fraction
+from math import lcm
 
 _FINITE = 0
 _INFINITE = 1
@@ -104,12 +105,49 @@ INFINITE = ExtDist(_INFINITE)
 ZERO = finite(0)
 
 
+def _instances(matrix):
+    """Every distinct entry instance of a matrix, keyed by id."""
+    instances = {}
+    for row in matrix:
+        instances.update(zip(map(id, row), row))
+    return instances
+
+
+def _rows(image, matrix):
+    return [list(map(image.__getitem__, map(id, row))) for row in matrix]
+
+
 def map_rows(fn, matrix):
     """Rows of fn(d) over a matrix of ExtDist entries, calling fn once per
     distinct instance (ball distance matrices share one instance per
     value, so that is once per value)."""
-    instances = {}
-    for row in matrix:
-        instances.update(zip(map(id, row), row))
-    image = {key: fn(d) for key, d in instances.items()}
-    return [list(map(image.__getitem__, map(id, row))) for row in matrix]
+    instances = _instances(matrix)
+    return _rows({key: fn(d) for key, d in instances.items()}, matrix)
+
+
+INF = float("inf")
+
+
+def scaled_rows(matrix):
+    """(L, rows): a matrix of ExtDist entries as exact integers over one
+    denominator, converting each distinct instance once.
+
+    L is the least common denominator of the finite entries.  In the rows
+    a finite entry d is the int d * L, infinity is the float INF and a
+    horizon stamp beyond(h) is the negative int -1 - h, so that a sign
+    test finds the stamps and the horizon can be read back.  Every check
+    that compares entries (or entries and constants brought onto the same
+    scale) can then run on these ints instead of on Fractions.
+    """
+    instances = _instances(matrix).items()
+    scale = lcm(*{d.value.denominator for _, d in instances if d._status == _FINITE})
+    image = {}
+    for key, d in instances:
+        if d._status == _FINITE:
+            q = d.value
+            image[key] = q.numerator * (scale // q.denominator)
+        elif d._status == _INFINITE:
+            image[key] = INF
+        else:
+            image[key] = -1 - d.horizon
+    return scale, _rows(image, matrix)

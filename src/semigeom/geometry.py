@@ -5,10 +5,14 @@ checks treat infinity per the usual conventions (it absorbs sums and
 positive scaling; an inequality with infinity on the smaller side holds
 only when the larger side is infinite too) and skip pairs carrying a
 horizon stamp, counting them so reports can say how much was left
-undecided.  The axiom and embedding checks decode a matrix once into rows
-of exact numbers (ints where the rational is integral, Fractions
-otherwise, float infinity for infinity) and compare whole rows at a time;
-finite comparisons never go through floating point.
+undecided.
+
+A Space's matrix is decoded once, by the first check that reads it, into
+rows of exact integers over a common denominator (see DistMatrix and
+distances.scaled_rows).  Every check compares those integers, with the
+constants brought onto the same scale by cross-multiplication; nothing
+goes through floating point and no Fraction arithmetic runs per entry.
+Fractions appear only in reported values.
 
 The quasi-isometric embedding inequalities for a map f and constants
 (lambda, epsilon) are
@@ -22,10 +26,12 @@ and reports then label the claim isometric-grade.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
+from math import lcm
 from operator import add, gt
 
-from .distances import INFINITE, ZERO, ExtDist, beyond, finite, map_rows
+from .distances import INF, INFINITE, ZERO, ExtDist, beyond, finite, scaled_rows
 from .errors import (
     CapExceeded,
     InvalidSpace,
@@ -40,12 +46,33 @@ class Violation:
     points: tuple
 
 
+class DistMatrix(tuple):
+    """A distance matrix: a tuple of ExtDist row tuples that decodes its
+    entries into exact integers once, on first use.
+
+    ``decoded`` is (L, rows) with L a common denominator of the finite
+    entries and rows in the encoding of distances.scaled_rows (d * L as an
+    int, infinity as INF, a stamp beyond(h) as -1 - h).
+    """
+
+    def __new__(cls, matrix):
+        return super().__new__(cls, map(tuple, matrix))
+
+    @cached_property
+    def decoded(self):
+        return scaled_rows(self)
+
+
+def _matrix(dist):
+    return dist if isinstance(dist, DistMatrix) else DistMatrix(dist)
+
+
 class Space:
     """Named points with an ExtDist distance matrix."""
 
     def __init__(self, points, dist):
         self.points = tuple(points)
-        self.dist = tuple(tuple(row) for row in dist)
+        self.dist = _matrix(dist)
 
     def __len__(self):
         return len(self.points)
@@ -62,24 +89,23 @@ class Space:
         return all(d.is_decisive() for row in self.dist for d in row)
 
 
-_INF = float("inf")
+def _linear(lam, c, sx, sy):
+    """Integers (a, b, k) such that x > lam * y + c exactly when
+    a * X > b * Y + k, for x = X / sx and y = Y / sy (sx, sy > 0)."""
+    b = lam * Fraction(sx, sy)
+    k = c * sx
+    m = lcm(b.denominator, k.denominator)
+    return m, b.numerator * (m // b.denominator), k.numerator * (m // k.denominator)
 
 
-def _exact(q):
-    """An int when the rational is integral, else the rational itself."""
-    return q.numerator if q.denominator == 1 else q
-
-
-def _decode(dist, stamp):
-    """The matrix as rows of exact numbers: finite entries via _exact,
-    infinity as float infinity and horizon stamps as the given stamp."""
-
-    def number(d):
-        if d.is_finite():
-            return _exact(d.value)
-        return _INF if d.is_infinite() else stamp
-
-    return map_rows(number, dist)
+def _rescaled(dist, scale):
+    """The decoded rows of a DistMatrix over a multiple of its scale (a
+    stamp stays negative but no longer encodes its horizon)."""
+    own, rows = dist.decoded
+    k = scale // own
+    if k == 1:
+        return rows
+    return [[v * k for v in row] for row in rows]
 
 
 def check_axioms(points, dist):
@@ -89,10 +115,14 @@ def check_axioms(points, dist):
     witness a violation.
     """
     n = len(points)
-    lhs = _decode(dist, -1)
-    rhs = _decode(dist, _INF)
+    lhs = _matrix(dist).decoded[1]
+    # on the right-hand side a stamp counts as infinity (an infinite sum)
+    if min(map(min, lhs), default=0) < 0:
+        rhs = [[INF if v < 0 else v for v in row] for row in lhs]
+    else:
+        rhs = lhs
     for i in range(n):
-        # a stamp (-1) or infinity is not a zero either
+        # a stamp (negative) or infinity is not a zero either
         if lhs[i][i] != 0:
             return Violation("diagonal", (i,))
     for i in range(n):
@@ -100,13 +130,14 @@ def check_axioms(points, dist):
             if i != j and dij <= 0:
                 return Violation("positivity", (i, j))
     # triangle d(i,k) <= d(i,j) + d(j,k), all k of one (i, j) at once.
-    # Entries are nonnegative here, so a stamp on the left (-1) never
+    # Entries are nonnegative here, so a stamp on the left (negative) never
     # exceeds a sum, infinity on the left always exceeds a finite one, and
     # a stamp or infinity on the right (an infinite sum) exempts the triple.
+    # Every inequality is homogeneous, so the common scale does not matter.
     for i in range(n):
         left = lhs[i]
         for j, a in enumerate(rhs[i]):
-            if a == _INF:
+            if a == INF:
                 continue
             right = rhs[j]
             if any(map(gt, left, map(add, repeat(a), right))):
@@ -129,34 +160,29 @@ def make_space(points, matrix):
             else:
                 out.append(finite(v))
         rows.append(out)
-    violation = check_axioms(points, rows)
+    dist = DistMatrix(rows)
+    violation = check_axioms(points, dist)
     if violation is not None:
         raise InvalidSpace(violation)
-    return Space(points, rows)
+    return Space(points, dist)
 
 
 def space_from_ball(ball):
     """The vertex set of a Cayley ball as a Space (may carry horizon
     stamps on pairs the ball cannot decide)."""
     points = [ball.name(i) for i in range(len(ball.vertices))]
-    matrix = ball.distance_matrix()
-    violation = check_axioms(points, matrix)
+    dist = DistMatrix(ball.distance_matrix())
+    violation = check_axioms(points, dist)
     if violation is not None:
         raise InvalidSpace(violation)
-    return Space(points, matrix)
-
-
-def basepoints(space):
-    """Indices whose whole row is finite (provably reach every point)."""
-    return [
-        i
-        for i in range(len(space))
-        if all(d.is_finite() for d in space.dist[i])
-    ]
+    return Space(points, dist)
 
 
 def is_strongly_connected(space):
-    return all(d.is_finite() for row in space.dist for d in row)
+    rows = space.dist.decoded[1]
+    # every entry finite: no stamp (negative) and no infinity
+    return (min(map(min, rows), default=0) >= 0
+            and max(map(max, rows), default=0) < INF)
 
 
 def quasi_metricity_lambda(space, eps=0):
@@ -165,16 +191,17 @@ def quasi_metricity_lambda(space, eps=0):
     if not is_strongly_connected(space):
         return None
     eps = Fraction(eps)
-    lam = Fraction(1)
-    n = len(space)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            need = (space.dist[j][i].value - eps) / space.dist[i][j].value
-            if need > lam:
-                lam = need
-    return lam
+    # the greatest (d(j,i) - eps) / d(i,j), kept as num / den, with the
+    # entries and eps over one scale
+    scale = lcm(space.dist.decoded[0], eps.denominator)
+    rows = _rescaled(space.dist, scale)
+    e = int(eps * scale)
+    num, den = 1, 1
+    for i, row in enumerate(rows):
+        for j, dij in enumerate(row):
+            if i != j and (rows[j][i] - e) * den > num * dij:
+                num, den = rows[j][i] - e, dij
+    return Fraction(num, den)
 
 
 @dataclass
@@ -208,34 +235,33 @@ def check_qi_embedding(f, source, target, lam, eps):
     """Check both embedding inequalities on every ordered pair; the first
     violation (row-major) is reported.  Horizon-stamped pairs are skipped
     and counted."""
-    lam = _exact(Fraction(lam))
-    eps = _exact(Fraction(eps))
+    lam = Fraction(lam)
+    eps = Fraction(eps)
     checked = 0
     skipped = 0
-    src = _decode(source.dist, None)
-    tgt = _decode(target.dist, None)
-    for i, xrow in enumerate(src):
-        yrow = tgt[f[i]]
+    sscale, srows = source.dist.decoded
+    tscale, trows = target.dist.decoded
+    # lower: (1/lam) dx - eps <= dy fails when dx > lam dy + lam eps;
+    # upper: dy <= lam dx + eps fails when dy > lam dx + eps
+    la, lb, lk = _linear(lam, lam * eps, sscale, tscale)
+    ua, ub, uk = _linear(lam, eps, tscale, sscale)
+    for i, xrow in enumerate(srows):
+        yrow = trows[f[i]]
         for j, dx in enumerate(xrow):
             dy = yrow[f[j]]
-            if dx is None or dy is None:
+            if dx < 0 or dy < 0:
                 skipped += 1
                 continue
             checked += 1
-            # lower: (1/lam) dx - eps <= dy, i.e. dx <= lam dy + lam eps
-            if dx == _INF:
-                if dy != _INF:
+            if dx == INF:
+                if dy != INF:
                     return EmbeddingReport(False, PairViolation(i, j, "lower"),
                                            checked, skipped)
                 continue
-            if dy != _INF and dx > lam * (dy + eps):
+            if dy != INF and la * dx > lb * dy + lk:
                 return EmbeddingReport(False, PairViolation(i, j, "lower"),
                                        checked, skipped)
-            # upper: dy <= lam dx + eps
-            if dy == _INF:
-                return EmbeddingReport(False, PairViolation(i, j, "upper"),
-                                       checked, skipped)
-            if dy > lam * dx + eps:
+            if dy == INF or ua * dy > ub * dx + uk:
                 return EmbeddingReport(False, PairViolation(i, j, "upper"),
                                        checked, skipped)
     return EmbeddingReport(True, None, checked, skipped)
@@ -248,27 +274,27 @@ def quasi_density(f, source, target):
     image, a horizon stamp when the data cannot decide.
     """
     image = sorted(set(f))
-    worst = ZERO
-    for y in range(len(target)):
-        best = None
+    scale, rows = target.dist.decoded
+    worst = 0
+    for y, yrow in enumerate(rows):
+        best = INF
         horizon = None
         for x in image:
-            a = target.dist[x][y]
-            b = target.dist[y][x]
-            if a.is_beyond() or b.is_beyond():
-                h = a.horizon if a.is_beyond() else b.horizon
+            a = rows[x][y]
+            b = yrow[x]
+            if a < 0 or b < 0:
+                h = -1 - (a if a < 0 else b)
                 horizon = h if horizon is None else max(horizon, h)
                 continue
-            if a.is_infinite() or b.is_infinite():
-                continue
-            strong = max(a.value, b.value)
-            if best is None or strong < best:
+            # an infinite side makes the strong distance infinite
+            strong = a if a > b else b
+            if strong < best:
                 best = strong
-        if best is None:
+        if best == INF:
             return INFINITE if horizon is None else beyond(horizon)
-        if best > worst.value:
-            worst = finite(best)
-    return worst
+        if best > worst:
+            worst = best
+    return finite(Fraction(worst, scale))
 
 
 @dataclass
@@ -284,13 +310,6 @@ def check_quasi_isometry(f, source, target, constants):
     mu = quasi_density(f, source, target)
     mu_ok = mu.is_finite() and mu.value <= constants.mu
     return QiReport(emb.ok and mu_ok, emb, mu, mu_ok)
-
-
-def compose_embeddings(c1, c2):
-    """Constants certifying g o f from constants for f and for g."""
-    l1, e1 = Fraction(c1[0]), Fraction(c1[1])
-    l2, e2 = Fraction(c2[0]), Fraction(c2[1])
-    return (l1 * l2, l2 * e1 + e2)
 
 
 # -- symmetrization -----------------------------------------------------------
@@ -323,17 +342,13 @@ def symmetrize(space, eps=0):
         raise NotStronglyConnected("symmetrization needs a strongly connected space")
     eps = Fraction(eps)
     n = len(space)
-    rows = [
-        [space.dist[i][j].plus(space.dist[j][i]) for j in range(n)]
-        for i in range(n)
-    ]
-    sym = Space(space.points, rows)
+    scale, rows = space.dist.decoded
+    sums = [list(map(add, row, col)) for row, col in zip(rows, zip(*rows))]
+    value = {v: finite(Fraction(v, scale)) for v in set().union(*sums)}
+    sym = Space(space.points, [[value[v] for v in row] for row in sums])
 
-    metric_ok = check_axioms(sym.points, rows) is None
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != rows[j][i]:
-                metric_ok = False
+    metric_ok = (check_axioms(sym.points, sym.dist) is None
+                 and sums == [list(col) for col in zip(*sums)])
 
     lam_p = lam + 1
     identity = tuple(range(n))
@@ -342,13 +357,13 @@ def symmetrize(space, eps=0):
 
     back_lam = lam_p * lam_p
     back_eps = 2 * lam_p * eps
-    backward_ok = True
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if space.dist[j][i].value > back_lam * space.dist[i][j].value + back_eps:
-                backward_ok = False
+    a, b, k = _linear(back_lam, back_eps, scale, scale)
+    backward_ok = not any(
+        a * rows[j][i] > b * dij + k
+        for i, row in enumerate(rows)
+        for j, dij in enumerate(row)
+        if i != j
+    )
     return SymmetrizeResult(
         space=sym,
         lam=lam,
@@ -382,28 +397,6 @@ class SearchResult:
     constants: QiConstants
 
 
-def _pair_need(dx, dy, eps, lam_max):
-    """Least lambda making both inequalities hold for one pair, or None
-    when no lambda <= lam_max works.  Horizon pairs impose nothing."""
-    if dx.is_beyond() or dy.is_beyond():
-        return Fraction(1)
-    if dx.is_infinite():
-        return None if dy.is_finite() else Fraction(1)
-    if dy.is_infinite():
-        return None
-    need = Fraction(1)
-    if dx.value > 0:
-        up = (dy.value - eps) / dx.value
-        if up > need:
-            need = up
-    elif dy.value > eps:
-        return None
-    lo = dx.value / (dy.value + eps)
-    if lo > need:
-        need = lo
-    return need if need <= lam_max else None
-
-
 def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
     """Backtracking search for a quasi-isometry within the stated bounds.
 
@@ -420,21 +413,72 @@ def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
         return None
     lam_max = Fraction(lam_max)
     mu_max = Fraction(mu_max)
-    eps_hi = grid[-1]
+    # both spaces and every epsilon of the grid over one scale, so each
+    # eps * scale is an int; the search reads only the sign of a stamp
+    scale = lcm(source.dist.decoded[0], target.dist.decoded[0],
+                *(e.denominator for e in grid))
+    srows = _rescaled(source.dist, scale)
+    trows = _rescaled(target.dist, scale)
+    p, q = lam_max.numerator, lam_max.denominator
+    # every finite pair needs lambda >= 1
+    wide = lam_max >= 1
+    e_hi = int(grid[-1] * scale)
+    qe, pe = q * e_hi, p * e_hi
     assign = []
 
     def extend_ok(k):
+        """Whether each pair between k and an earlier point admits some
+        lambda <= lam_max at the largest epsilon.  A stamped pair imposes
+        nothing; a finite pair fails exactly when one inequality does."""
+        ak = assign[k]
         for i in range(k):
-            for a, b in ((i, k), (k, i)):
-                need = _pair_need(
-                    source.dist[a][b],
-                    target.dist[assign[a]][assign[b]],
-                    eps_hi,
-                    lam_max,
-                )
-                if need is None:
+            ai = assign[i]
+            for x, y in ((srows[i][k], trows[ai][ak]), (srows[k][i], trows[ak][ai])):
+                if x < 0 or y < 0:
+                    continue
+                if x == INF:
+                    if y != INF:
+                        return False
+                    continue
+                if y == INF or not wide or q * y > p * x + qe or q * x > p * y + pe:
                     return False
         return True
+
+    def least_lam(f, eps):
+        """Least lambda >= 1 admitted by every pair at eps, or None when a
+        pair admits none within lam_max.  A finite pair needs
+        (dy - eps) / dx when dx > 0 (dy <= eps when dx = 0) and
+        dx / (dy + eps); the running maximum is kept as num / den."""
+        e = int(eps * scale)
+        num, den = 1, 1
+        seen = False
+        for i, xrow in enumerate(srows):
+            yrow = trows[f[i]]
+            for j, x in enumerate(xrow):
+                if i == j:
+                    continue
+                y = yrow[f[j]]
+                if x < 0 or y < 0:
+                    continue
+                if x == INF:
+                    if y != INF:
+                        return None
+                    continue
+                if y == INF:
+                    return None
+                seen = True
+                if x > 0:
+                    if (y - e) * den > num * x:
+                        num, den = y - e, x
+                elif y > e:
+                    return None
+                if x * den > num * (y + e):
+                    num, den = x, y + e
+        # only finite pairs are held to lam_max: stamped or doubly infinite
+        # pairs alone give lambda = 1 even when lam_max < 1
+        if seen and q * num > p * den:
+            return None
+        return Fraction(num, den)
 
     def leaf():
         f = tuple(assign)
@@ -443,21 +487,7 @@ def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
             return None
         best = None
         for eps in grid:
-            lam = Fraction(1)
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    need = _pair_need(
-                        source.dist[i][j], target.dist[f[i]][f[j]], eps, lam_max
-                    )
-                    if need is None:
-                        lam = None
-                        break
-                    if need > lam:
-                        lam = need
-                if lam is None:
-                    break
+            lam = least_lam(f, eps)
             if lam is not None and (best is None or (lam, eps) < best):
                 best = (lam, eps)
         if best is None:

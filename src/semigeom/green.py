@@ -120,16 +120,6 @@ def green_relations(fm):
     return GreenStructure(r_classes, l_classes, h_classes, r_of, l_of, h_of, r_order)
 
 
-def is_group(fm):
-    """True iff every element has a two-sided inverse."""
-    e = fm.identity_index
-    n = len(fm)
-    for x in range(n):
-        if not any(fm.table[x][y] == e and fm.table[y][x] == e for y in range(n)):
-            return False
-    return True
-
-
 class SchutzGroup:
     """The left Schutzenberger group of an H-class, as permutations of H.
 

@@ -548,3 +548,87 @@ def test_space_load_reports_first_bad_entry(capsys, tmp_path, dist, reason):
     code, _, err = run(capsys, "quasimetric", "--source", str(path))
     assert code == 2
     assert reason + "\n" in err
+
+
+@pytest.mark.parametrize("dist,reason", [
+    ([[0, "1/0"], [1, 0]], "error: zero denominator in '1/0'"),
+    ([[0, 1], ["2/0", 0]], "error: zero denominator in '2/0'"),
+])
+def test_space_load_rejects_zero_denominators(capsys, tmp_path, dist, reason):
+    path = write_json(tmp_path, "bad.space", {"points": ["u", "v"], "dist": dist})
+    code, out, err = run(capsys, "quasimetric", "--source", str(path))
+    assert code == 2 and out == ""
+    assert reason + "\n" in err
+
+
+def test_space_load_rejects_duplicate_point_names(capsys, tmp_path):
+    path = write_json(tmp_path, "dup.space",
+                      {"points": ["u", "v", "u"],
+                       "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]})
+    code, out, err = run(capsys, "qi-search", "--source", path, "--target", path)
+    assert code == 2 and out == ""
+    assert "error: duplicate point name 'u'\n" in err
+
+
+# the definitions need lambda > 0 and epsilon, mu >= 0
+RATIONAL_OPTIONS = [
+    ("qi-check", "--lambda", "> 0"),
+    ("qi-check", "--epsilon", ">= 0"),
+    ("qi-check", "--mu", ">= 0"),
+    ("qi-search", "--lambda-max", "> 0"),
+    ("qi-search", "--eps-max", ">= 0"),
+    ("qi-search", "--mu-max", ">= 0"),
+    ("quasimetric", "--epsilon", ">= 0"),
+    ("symmetrize", "--epsilon", ">= 0"),
+]
+
+
+@pytest.mark.parametrize("command,option,bound,value", [
+    (command, option, bound, value)
+    for command, option, bound in RATIONAL_OPTIONS
+    for value in ("1/0", "-1", "-1/3", "0")
+    if value != "0" or bound == "> 0"
+])
+def test_bad_rational_options_exit_2(capsys, tmp_path, sym2, command, option, bound,
+                                     value):
+    argv = [command, "--source", sym2]
+    if command == "qi-check":
+        point_map = write_json(tmp_path, "id.map", {"map": ["u", "v"]})
+        argv += ["--target", sym2, "--map", point_map,
+                 "--lambda", "1", "--epsilon", "0", "--mu", "0"]
+    if command == "qi-search":
+        argv += ["--target", sym2]
+    # "--epsilon=-1/3": argparse reads a separate "-1/3" as an option
+    code, out, err = run(capsys, *argv, "%s=%s" % (option, value))
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument %s: expected a rational %s, got '%s'\n"
+                        % (option, bound, value))
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--monoid", "free2", "--radius", "-1"],
+    ["ball", "--monoid", "free2", "--cap", "-5"],
+    ["dist", "--monoid", "free2", "--source", "a", "--target", "b", "--radius", "-2"],
+    ["poset", "--monoid", "free2", "--radius", "-1"],
+    ["schutz", "--monoid", "bicyclic", "--radius", "-1"],
+    ["schutz", "--monoid", "bicyclic", "--probe-cap", "-1"],
+    ["act", "--monoid", "bicyclic", "--probe-cap", "-1"],
+    ["svarc", "--monoid", "z3", "--ball-radius", "-1"],
+    ["svarc", "--monoid", "z3", "--l", "-1"],
+    ["growth", "--monoid", "free2", "--mmax", "-3"],
+    ["ends", "--monoid", "free2", "--kmax", "-1"],
+    ["quotient", "--monoid", "z3", "--projection", "--radius", "-1"],
+])
+def test_negative_counts_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    option, value = argv[-2:]
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument %s: expected an integer >= 0, got '%s'\n"
+                        % (option, value))
+
+
+def test_zero_counts_and_rationals_are_accepted(capsys, sym2):
+    code, out, _ = run(capsys, "ball", "--monoid", "free2", "--radius", "0")
+    assert code == 0 and out == "vertex\tlength\n\u03b5\t0\n"
+    code, out, _ = run(capsys, "quasimetric", "--source", sym2, "--epsilon", "0")
+    assert code == 0 and "lambda: 1\n" in out

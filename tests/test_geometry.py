@@ -23,13 +23,11 @@ from semigeom.geometry import (
     PairViolation,
     QiConstants,
     SearchResult,
-    basepoints,
     check_axioms,
     check_product_projection_qi,
     check_qi_embedding,
     check_quasi_isometry,
     check_quotient_qi,
-    compose_embeddings,
     eps_grid,
     is_congruence,
     is_strongly_connected,
@@ -120,13 +118,6 @@ def test_space_from_ball():
     truncated = cayley.build_cayley_ball(catalog.monoid("bicyclic"), 2)
     s2 = space_from_ball(truncated)
     assert not s2.exact  # horizon stamps on undecided pairs
-
-
-def test_basepoints():
-    assert basepoints(chain2()) == [0]
-    assert basepoints(sym2()) == [0, 1]
-    fm = green.FiniteMonoid(catalog.monoid("t2"))
-    assert basepoints(monoid_space(fm)) == [0, 1]  # exactly the units
 
 
 def test_is_strongly_connected():
@@ -264,13 +255,9 @@ def test_check_quasi_isometry():
     assert rep.ok and rep.mu == finite(1)
 
 
-def test_compose_embeddings():
-    assert compose_embeddings((2, 1), (3, 2)) == (Fraction(6), Fraction(5))
-    assert compose_embeddings((1, 0), (Fraction(7, 2), 4)) == (Fraction(7, 2), 4)
-    assert compose_embeddings((Fraction(7, 2), 4), (1, 0)) == (Fraction(7, 2), 4)
-
-
 def test_compose_embeddings_replay():
+    """f: a -> 2a is a (2, 0)-embedding and g: 2a -> 2a + 1 a (1, 1) one, so
+    g o f is a (2 * 1, 1 * 0 + 1)-embedding."""
     rng = random.Random(13)
     for _ in range(8):
         a = rand_space(rng, 4)
@@ -288,8 +275,7 @@ def test_compose_embeddings_replay():
         ident = tuple(range(len(a)))
         assert check_qi_embedding(ident, a, doubled, 2, 0).ok
         assert check_qi_embedding(ident, doubled, bumped, 1, 1).ok
-        lam, eps = compose_embeddings((2, 0), (1, 1))
-        assert check_qi_embedding(ident, a, bumped, lam, eps).ok
+        assert check_qi_embedding(ident, a, bumped, 2, 1).ok
 
 
 # -- symmetrization -------------------------------------------------------------------

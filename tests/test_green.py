@@ -17,7 +17,6 @@ from semigeom.green import (
     ball_h_class_of_identity,
     check_schutz_action,
     check_schutz_action_finite,
-    is_group,
     schutz_group,
     svarc_milnor,
 )
@@ -128,13 +127,6 @@ def test_green_classes_partition(t3):
     for h in gs.h_classes:
         assert len({gs.r_class_of[i] for i in h}) == 1
         assert len({gs.l_class_of[i] for i in h}) == 1
-
-
-def test_is_group():
-    assert is_group(FiniteMonoid(catalog.monoid("z2")))
-    assert is_group(FiniteMonoid(catalog.monoid("z3")))
-    assert not is_group(FiniteMonoid(catalog.monoid("t2")))
-    assert not is_group(FiniteMonoid(catalog.monoid("one-a-zero")))
 
 
 # -- Schutzenberger groups -----------------------------------------------------------

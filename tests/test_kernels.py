@@ -1,10 +1,11 @@
 """Row-at-a-time distance kernels against the per-entry loops they replaced.
 
-check_axioms and check_qi_embedding decode a matrix into rows of exact
-numbers; CayleyBall.distance_matrix builds each row from one BFS and
+The space checks run on a Space's rows of exact integers over a common
+denominator; CayleyBall.distance_matrix builds each row from one BFS and
 distance_table formats from those rows.  The references below are the
 per-entry versions of the same functions, kept as oracles: every triple
-and every pair, in row-major order, through the ExtDist methods.
+and every pair, in row-major order, through the ExtDist methods and
+Fraction arithmetic.
 """
 
 from fractions import Fraction
@@ -16,13 +17,21 @@ from hypothesis import strategies as st
 from semigeom import catalog, cayley
 from semigeom.cayley import build_cayley_ball, distance_table
 from semigeom.distances import INFINITE, ZERO, beyond, finite
+from semigeom.errors import CapExceeded, NotStronglyConnected
 from semigeom.geometry import (
     EmbeddingReport,
     PairViolation,
+    QiConstants,
+    SearchResult,
     Space,
     Violation,
     check_axioms,
     check_qi_embedding,
+    eps_grid,
+    quasi_density,
+    quasi_metricity_lambda,
+    search_quasi_isometry,
+    symmetrize,
 )
 
 # -- references ------------------------------------------------------------------
@@ -84,6 +93,172 @@ def reference_check_qi_embedding(f, source, target, lam, eps):
                 return EmbeddingReport(False, PairViolation(i, j, "upper"),
                                        checked, skipped)
     return EmbeddingReport(True, None, checked, skipped)
+
+
+def reference_quasi_metricity_lambda(space, eps=0):
+    if not all(d.is_finite() for row in space.dist for d in row):
+        return None
+    eps = Fraction(eps)
+    lam = Fraction(1)
+    n = len(space)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            need = (space.dist[j][i].value - eps) / space.dist[i][j].value
+            if need > lam:
+                lam = need
+    return lam
+
+
+def reference_quasi_density(f, source, target):
+    image = sorted(set(f))
+    worst = ZERO
+    for y in range(len(target)):
+        best = None
+        horizon = None
+        for x in image:
+            a = target.dist[x][y]
+            b = target.dist[y][x]
+            if a.is_beyond() or b.is_beyond():
+                h = a.horizon if a.is_beyond() else b.horizon
+                horizon = h if horizon is None else max(horizon, h)
+                continue
+            if a.is_infinite() or b.is_infinite():
+                continue
+            strong = max(a.value, b.value)
+            if best is None or strong < best:
+                best = strong
+        if best is None:
+            return INFINITE if horizon is None else beyond(horizon)
+        if best > worst.value:
+            worst = finite(best)
+    return worst
+
+
+def reference_symmetrize(space, eps=0):
+    """(sym rows, lam, eps, lam', metric_ok, forward_ok, back_lam,
+    back_eps, backward_ok)."""
+    lam = reference_quasi_metricity_lambda(space, eps)
+    if lam is None:
+        raise NotStronglyConnected("not strongly connected")
+    eps = Fraction(eps)
+    n = len(space)
+    rows = [
+        [space.dist[i][j].plus(space.dist[j][i]) for j in range(n)]
+        for i in range(n)
+    ]
+    sym = Space(space.points, rows)
+    metric_ok = reference_check_axioms(sym.points, rows) is None
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] != rows[j][i]:
+                metric_ok = False
+    lam_p = lam + 1
+    identity = tuple(range(n))
+    emb = reference_check_qi_embedding(identity, space, sym, lam_p, eps)
+    mu = reference_quasi_density(identity, space, sym)
+    forward_ok = emb.ok and mu.is_finite() and mu.value <= 0
+    back_lam = lam_p * lam_p
+    back_eps = 2 * lam_p * eps
+    backward_ok = True
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if space.dist[j][i].value > back_lam * space.dist[i][j].value + back_eps:
+                backward_ok = False
+    return (tuple(map(tuple, rows)), lam, eps, lam_p, metric_ok, forward_ok, back_lam, back_eps,
+            backward_ok)
+
+
+def reference_pair_need(dx, dy, eps, lam_max):
+    if dx.is_beyond() or dy.is_beyond():
+        return Fraction(1)
+    if dx.is_infinite():
+        return None if dy.is_finite() else Fraction(1)
+    if dy.is_infinite():
+        return None
+    need = Fraction(1)
+    if dx.value > 0:
+        up = (dy.value - eps) / dx.value
+        if up > need:
+            need = up
+    elif dy.value > eps:
+        return None
+    lo = dx.value / (dy.value + eps)
+    if lo > need:
+        need = lo
+    return need if need <= lam_max else None
+
+
+def reference_search(source, target, lam_max, eps_max, mu_max, cap=10):
+    n, m = len(source), len(target)
+    if n > cap or m > cap:
+        raise CapExceeded(cap, "search is capped at %d points per space" % cap)
+    grid = eps_grid(eps_max)
+    if not grid or m == 0:
+        return None
+    lam_max = Fraction(lam_max)
+    mu_max = Fraction(mu_max)
+    eps_hi = grid[-1]
+    assign = []
+
+    def extend_ok(k):
+        for i in range(k):
+            for a, b in ((i, k), (k, i)):
+                need = reference_pair_need(
+                    source.dist[a][b],
+                    target.dist[assign[a]][assign[b]],
+                    eps_hi,
+                    lam_max,
+                )
+                if need is None:
+                    return False
+        return True
+
+    def leaf():
+        f = tuple(assign)
+        mu = reference_quasi_density(f, source, target)
+        if not (mu.is_finite() and mu.value <= mu_max):
+            return None
+        best = None
+        for eps in grid:
+            lam = Fraction(1)
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    need = reference_pair_need(
+                        source.dist[i][j], target.dist[f[i]][f[j]], eps, lam_max
+                    )
+                    if need is None:
+                        lam = None
+                        break
+                    if need > lam:
+                        lam = need
+                if lam is None:
+                    break
+            if lam is not None and (best is None or (lam, eps) < best):
+                best = (lam, eps)
+        if best is None:
+            return None
+        return SearchResult(f, QiConstants(best[0], best[1], mu.value))
+
+    def dfs():
+        k = len(assign)
+        if k == n:
+            return leaf()
+        for img in range(m):
+            assign.append(img)
+            if extend_ok(k):
+                found = dfs()
+                if found is not None:
+                    return found
+            assign.pop()
+        return None
+
+    return dfs()
 
 
 def reference_distance_table(ball):
@@ -175,8 +350,9 @@ def test_check_axioms_draws_reach_every_verdict():
     st.data(),
     matrices(),
     matrices(),
-    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]),
-    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3)]),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1),
+                     Fraction(3, 2), Fraction(2)]),
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3)]),
 )
 def test_check_qi_embedding_matches_pair_loop(data, src, tgt, lam, eps):
     source = Space(["x%d" % i for i in range(len(src))], src)
@@ -185,6 +361,126 @@ def test_check_qi_embedding_matches_pair_loop(data, src, tgt, lam, eps):
                            max_size=len(src)))
     got = check_qi_embedding(f, source, target, lam, eps)
     assert got == reference_check_qi_embedding(f, source, target, lam, eps)
+
+
+# -- rational spaces over a common denominator ----------------------------------
+
+
+STAMPS = tuple(beyond(h) for h in range(1, 5))
+EPSILONS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 2)]
+
+
+@st.composite
+def rational_matrices(draw, max_points=7, special=(INFINITE,)):
+    """A zero diagonal and off-diagonal entries p/q with q in 1..6, so that
+    the common denominator is rarely a power of two, or one of `special`
+    (about one entry in four).  Half the draws are min-plus closed, which
+    fills in most infinities."""
+    n = draw(st.integers(1, max_points))
+    fractions = st.builds(lambda p, q: finite(Fraction(p, q)),
+                          st.integers(1, 12), st.integers(1, 6))
+    entries = st.one_of(fractions, fractions, fractions, st.sampled_from(special))
+    rows = [[ZERO if i == j else draw(entries) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        close(rows)
+    return rows
+
+
+def space_of(rows, prefix="p"):
+    return Space(["%s%d" % (prefix, i) for i in range(len(rows))], rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_matrices(), st.sampled_from(EPSILONS))
+def test_quasi_metricity_lambda_matches_pair_loop(rows, eps):
+    space = space_of(rows)
+    got = quasi_metricity_lambda(space, eps)
+    assert got == reference_quasi_metricity_lambda(space, eps)
+    assert got is None or type(got) is Fraction
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), rational_matrices(),
+       rational_matrices(special=(INFINITE, ZERO) + STAMPS))
+def test_quasi_density_matches_pair_loop(data, src, tgt):
+    source, target = space_of(src, "x"), space_of(tgt, "y")
+    f = data.draw(st.lists(st.integers(0, len(tgt) - 1), min_size=len(src),
+                           max_size=len(src)))
+    got = quasi_density(f, source, target)
+    assert got == reference_quasi_density(f, source, target)
+    assert not got.is_finite() or type(got.value) is Fraction
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_matrices(), st.sampled_from(EPSILONS))
+def test_symmetrize_matches_pair_loop(rows, eps):
+    space = space_of(rows)
+    try:
+        want = reference_symmetrize(space, eps)
+    except NotStronglyConnected:
+        with pytest.raises(NotStronglyConnected):
+            symmetrize(space, eps)
+        return
+    got = symmetrize(space, eps)
+    assert got.space.points == space.points
+    assert (got.space.dist, got.lam, got.eps, got.forward.lam, got.metric_ok,
+            got.forward_ok, got.backward_lam, got.backward_eps,
+            got.backward_ok) == want
+    assert got.forward == QiConstants(want[3], eps, 0)
+    for q in (got.lam, got.eps, got.forward.lam, got.forward.eps, got.forward.mu,
+              got.backward_lam, got.backward_eps):
+        assert type(q) is Fraction
+    for row in got.space.dist:
+        assert all(type(d.value) is Fraction for d in row)
+
+
+def test_symmetrize_backward_certificate_needs_its_epsilon():
+    """d(v,u) = 2 <= 1 * d(u,v) + 5/2, so lambda = 1 and lambda' = 2; the
+    backward certificate (4, 10) holds only through its epsilon, since
+    2 > 4 * (1/6)."""
+    space = space_of([[ZERO, finite(Fraction(1, 6))], [finite(2), ZERO]])
+    got = symmetrize(space, Fraction(5, 2))
+    assert (got.lam, got.backward_lam, got.backward_eps) == (1, 4, 10)
+    assert got.backward_ok
+    assert reference_symmetrize(space, Fraction(5, 2))[8]
+
+
+def test_symmetrize_draws_reach_every_verdict():
+    """The strategy above reaches every outcome that can occur: a space that
+    is not strongly connected, and a symmetrization that is or is not a
+    metric (the forward and backward certificates hold by construction)."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rational_matrices(), st.sampled_from(EPSILONS))
+    def collect(rows, eps):
+        try:
+            seen.add(reference_symmetrize(space_of(rows), eps)[4])
+        except NotStronglyConnected:
+            seen.add(None)
+
+    collect()
+    assert seen == {None, True, False}
+
+
+SEARCH_SPECIAL = (INFINITE, ZERO, beyond(2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rational_matrices(max_points=5, special=SEARCH_SPECIAL),
+    rational_matrices(max_points=5, special=SEARCH_SPECIAL),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(4)]),
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(4)]),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(2)]),
+)
+def test_search_matches_pair_need_search(src, tgt, lam_max, eps_max, mu_max):
+    source, target = space_of(src, "x"), space_of(tgt, "y")
+    got = search_quasi_isometry(source, target, lam_max, eps_max, mu_max)
+    assert got == reference_search(source, target, lam_max, eps_max, mu_max)
+    if got is not None:
+        for q in (got.constants.lam, got.constants.eps, got.constants.mu):
+            assert type(q) is Fraction
 
 
 # -- ball distance rows ----------------------------------------------------------
