@@ -14,15 +14,37 @@ points are the vertices plus interior edge points (e, mu) with rational
 0 < mu < 1, and distances follow the exact segment formulas.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
 
 from .distances import INFINITE, ExtDist, beyond, finite, map_rows
 from .errors import CapExceeded, NotFinite
-from .monoids import DEFAULT_CAP, Element, enumerate_all
+# enumerate_all stays importable from here: perfbench/selftest.py checks that
+# the tracer rebinds it as a from-import of this module
+from .monoids import DEFAULT_CAP, Element, enumerate_all  # noqa: F401
 
 RIGHT = "right"
 LEFT = "left"
+
+
+def bfs(adj, s):
+    """Breadth-first search over successor lists from vertex s.
+
+    Returns (depth, order): depth[v] is the length of a shortest path from
+    s to v, or -1 when v is unreached; order lists the reached vertices in
+    the order the search reached them, s first.
+    """
+    depth = [-1] * len(adj)
+    depth[s] = 0
+    order = [s]
+    for u in order:
+        d = depth[u] + 1
+        for v in adj[u]:
+            if depth[v] < 0:
+                depth[v] = d
+                order.append(v)
+    return depth, order
 
 
 class CayleyBall:
@@ -47,8 +69,8 @@ class CayleyBall:
         self.complete = complete
         self.index = {v: i for i, v in enumerate(vertices)}
         self.out_adj = [[] for _ in vertices]
-        for eid, (u, v, _label) in enumerate(edges):
-            self.out_adj[u].append((v, eid))
+        for u, v, _label in edges:
+            self.out_adj[u].append(v)
         self._dist_cache = {}
 
     def __len__(self):
@@ -73,25 +95,11 @@ class CayleyBall:
         return [len(a) for a in self.out_adj]
 
     def _bfs_from(self, s):
+        """bfs from s, plus whether every reached vertex is complete."""
         if s in self._dist_cache:
             return self._dist_cache[s]
-        dist = [-1] * len(self.vertices)
-        parent_edge = [-1] * len(self.vertices)
-        dist[s] = 0
-        queue = [s]
-        qi = 0
-        all_complete = self.complete[s]
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v, eid in self.out_adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    parent_edge[v] = eid
-                    if not self.complete[v]:
-                        all_complete = False
-                    queue.append(v)
-        result = (dist, parent_edge, all_complete)
+        depth, order = bfs(self.out_adj, s)
+        result = (depth, order, all(map(self.complete.__getitem__, order)))
         self._dist_cache[s] = result
         return result
 
@@ -105,8 +113,8 @@ class CayleyBall:
         """
         u = self.index_of(u)
         v = self.index_of(v)
-        dist, _parents, all_complete = self._bfs_from(u)
-        n = dist[v]
+        depth, _order, all_complete = self._bfs_from(u)
+        n = depth[v]
         if n >= 0:
             if n <= self.radius:
                 return finite(n)
@@ -119,16 +127,18 @@ class CayleyBall:
         """Label word of one shortest in-ball path, or None if unreached."""
         u = self.index_of(u)
         v = self.index_of(v)
-        dist, parent_edge, _ = self._bfs_from(u)
-        if dist[v] < 0:
+        depth, order, _ = self._bfs_from(u)
+        if depth[v] < 0:
             return None
         labels = []
-        cur = v
-        while cur != u:
-            eid = parent_edge[cur]
-            src, _dst, label = self.edges[eid]
-            labels.append(label)
-            cur = src
+        while v != u:
+            # the search reached v from the first vertex in search order
+            # with an edge to it, along that vertex's first such edge
+            # (edges are ordered by source, then generator)
+            src = next(x for x in order if v in self.out_adj[x])
+            eid = bisect_left(self.edges, (src,)) + self.out_adj[src].index(v)
+            labels.append(self.edges[eid][2])
+            v = src
         labels.reverse()
         return labels
 
@@ -148,9 +158,9 @@ class CayleyBall:
         truncated = depths + [stamp]
         rows = []
         for s in range(n):
-            dist, _parents, all_complete = self._bfs_from(s)
+            depth, _order, all_complete = self._bfs_from(s)
             lookup = closed if all_complete else truncated
-            rows.append(list(map(lookup.__getitem__, dist)))
+            rows.append(list(map(lookup.__getitem__, depth)))
         return rows
 
 
@@ -203,13 +213,14 @@ def build_cayley_ball(m, radius, side=RIGHT, base=None, cap=DEFAULT_CAP):
 
 def full_cayley_graph(m, side=RIGHT, cap=DEFAULT_CAP):
     """The whole Cayley graph of a finite monoid, every vertex complete."""
-    elements = enumerate_all(m, cap)
-    if elements is None:
-        raise NotFinite("monoid is not finite within cap %d" % cap)
-    # enumerate_all is breadth-first, so the last discovery depth bounds
-    # every word length; one extra step of slack keeps all vertices interior.
-    ball = build_cayley_ball(m, len(elements) + 1, side=side, cap=cap)
-    assert all(ball.complete)
+    # a monoid of at most cap elements has every word length below cap
+    try:
+        ball = build_cayley_ball(m, cap, side=side, cap=cap)
+    except CapExceeded:
+        raise NotFinite("monoid is not finite within cap %d" % cap) from None
+    # one step of slack past the longest word length keeps the horizon of
+    # every distance outside the graph
+    ball.radius = len(ball) + 1
     return ball
 
 
@@ -219,13 +230,15 @@ class SccResult:
     components are vertex-index lists ordered by first (BFS) member;
     verified[c] is True when every vertex reachable from the component is
     complete, so the component provably equals the component of the full
-    graph.
+    graph.  succ is the condensation: succ[c] holds the components other
+    than c that an edge from c enters.
     """
 
-    def __init__(self, components, verified, comp_of):
+    def __init__(self, components, verified, comp_of, succ):
         self.components = components
         self.verified = verified
         self.comp_of = comp_of
+        self.succ = succ
 
 
 def strongly_connected_components(ball):
@@ -253,7 +266,7 @@ def strongly_connected_components(ball):
             advanced = False
             adj = ball.out_adj[v]
             while pi < len(adj):
-                w = adj[pi][0]
+                w = adj[pi]
                 pi += 1
                 if index_of[w] < 0:
                     work[-1] = (v, pi)
@@ -281,78 +294,45 @@ def strongly_connected_components(ball):
                 low[parent] = min(low[parent], low[v])
 
     # renumber components by their first vertex for a stable order
-    order = sorted(range(len(components)), key=lambda c: components[c][0])
-    renum = {old: new for new, old in enumerate(order)}
-    components = [components[old] for old in order]
-    comp_of = [renum[c] for c in comp_of]
-
-    # verified: every vertex in the component's forward closure is complete
     k = len(components)
+    order = sorted(range(k), key=lambda c: components[c][0])
+    renum = [0] * k
+    for new, old in enumerate(order):
+        renum[old] = new
+    comp_of = [renum[c] for c in comp_of]
     succ = [set() for _ in range(k)]
     for u, v, _label in ball.edges:
         cu, cv = comp_of[u], comp_of[v]
         if cu != cv:
             succ[cu].add(cv)
+
+    # verified: every vertex in the component's forward closure is complete.
+    # Tarjan emits a component after every component it reaches, so in
+    # emission order each successor is already decided.
     verified = [None] * k
-
-    def resolve(c):
-        pending = [c]
-        while pending:
-            cur = pending[-1]
-            if verified[cur] is not None:
-                pending.pop()
-                continue
-            ready = True
-            for s in succ[cur]:
-                if verified[s] is None:
-                    pending.append(s)
-                    ready = False
-            if not ready:
-                continue
-            ok = all(ball.complete[v] for v in components[cur])
-            ok = ok and all(verified[s] for s in succ[cur])
-            verified[cur] = ok
-            pending.pop()
-
-    for c in range(k):
-        resolve(c)
-    return SccResult(components, verified, comp_of)
+    for old, comp in enumerate(components):
+        c = renum[old]
+        verified[c] = (all(map(ball.complete.__getitem__, comp))
+                       and all(verified[t] for t in succ[c]))
+    components = [components[old] for old in order]
+    return SccResult(components, verified, comp_of, succ)
 
 
 def component_poset(ball, scc=None):
     """Reachability order between components: C <= D iff D reaches C."""
     if scc is None:
         scc = strongly_connected_components(ball)
-    k = len(scc.components)
-    adj = [set() for _ in range(k)]
-    for u, v, _label in ball.edges:
-        cu, cv = scc.comp_of[u], scc.comp_of[v]
-        if cu != cv:
-            adj[cu].add(cv)
-    reach = [set() for _ in range(k)]
-    for c in range(k):
-        seen = {c}
-        todo = [c]
-        while todo:
-            cur = todo.pop()
-            for s in adj[cur]:
-                if s not in seen:
-                    seen.add(s)
-                    todo.append(s)
-        reach[c] = seen
-    return reach
+    return [set(bfs(scc.succ, c)[1]) for c in range(len(scc.components))]
 
 
-def schutzenberger_ball(m, h, radius, cap=DEFAULT_CAP):
-    """The strongly connected component of h inside its radius-r out-ball.
+def base_component(ball, scc=None):
+    """The strongly connected component of the ball's base, as a CayleyBall.
 
-    This is the in-ball approximation of the Schutzenberger graph of the
-    R-class of h: vertices mutually reachable with h using in-ball paths.
-    Vertex order, lengths (distances from h), and edges are induced from
-    the ball; completeness is recomputed relative to the subgraph.
+    Vertex order, lengths (distances from the base), and edges are induced
+    from the ball; completeness is recomputed relative to the subgraph.
     """
-    ball = build_cayley_ball(m, radius, side=RIGHT, base=h, cap=cap)
-    scc = strongly_connected_components(ball)
+    if scc is None:
+        scc = strongly_connected_components(ball)
     keep = scc.components[scc.comp_of[0]]
     remap = {old: new for new, old in enumerate(keep)}
     vertices = [ball.vertices[i] for i in keep]
@@ -365,7 +345,17 @@ def schutzenberger_ball(m, h, radius, cap=DEFAULT_CAP):
                 edges.append((remap[u], remap[v], sym))
             else:
                 complete[remap[u]] = False
-    return CayleyBall(m, RIGHT, radius, h, vertices, lengths, edges, complete)
+    return CayleyBall(ball.monoid, ball.side, ball.radius, ball.base, vertices,
+                      lengths, edges, complete)
+
+
+def schutzenberger_ball(m, h, radius, cap=DEFAULT_CAP):
+    """The strongly connected component of h inside its radius-r out-ball.
+
+    This is the in-ball approximation of the Schutzenberger graph of the
+    R-class of h: vertices mutually reachable with h using in-ball paths.
+    """
+    return base_component(build_cayley_ball(m, radius, side=RIGHT, base=h, cap=cap))
 
 
 # -- geodesic realization ----------------------------------------------------

@@ -68,6 +68,7 @@ def _checked(parse, expected, ok):
 # radii, caps and lengths; rationals per the definitions, which need
 # epsilon, mu >= 0 and lambda > 0
 _count = _checked(int, "an integer >= 0", lambda n: n >= 0)
+_positive_count = _checked(int, "an integer >= 1", lambda n: n >= 1)
 _nonnegative = _checked(descriptions.parse_rational, "a rational >= 0", lambda q: q >= 0)
 _positive = _checked(descriptions.parse_rational, "a rational > 0", lambda q: q > 0)
 
@@ -384,6 +385,31 @@ def cmd_symmetrize(args):
     return 0 if ok else 1
 
 
+def _class_of(fm, data):
+    """The class index of every element, from a JSON list of class member
+    lists that names every element exactly once."""
+    if not isinstance(data, list):
+        raise ValueError("classes file must be a list of member lists, got %r" % (data,))
+    index = {name: i for i, name in enumerate(fm.names)}
+    class_of = [None] * len(fm)
+    for c, members in enumerate(data):
+        if not isinstance(members, list):
+            raise ValueError("class %d must be a list of element names, got %r"
+                             % (c, members))
+        for name in members:
+            i = index.get(name) if isinstance(name, str) else None
+            if i is None:
+                raise ValueError("class %d: unknown element %r" % (c, name))
+            if class_of[i] is not None:
+                raise ValueError("class %d: element %r is already in class %d"
+                                 % (c, name, class_of[i]))
+            class_of[i] = c
+    if None in class_of:
+        raise ValueError("classes file does not cover every element: %r is in no class"
+                         % fm.names[class_of.index(None)])
+    return class_of
+
+
 def cmd_quotient(args):
     m = _load_monoid(args.monoid)
     if args.projection:
@@ -405,13 +431,7 @@ def cmd_quotient(args):
     if args.classes is None:
         raise ValueError("either --classes or --projection is required")
     fm = green.FiniteMonoid(m, cap=args.cap)
-    data = _load_json(args.classes)
-    class_of = [None] * len(fm)
-    for c, members in enumerate(data):
-        for name in members:
-            class_of[fm.element_index(name)] = c
-    if any(c is None for c in class_of):
-        raise ValueError("classes file does not cover every element")
+    class_of = _class_of(fm, _load_json(args.classes))
     try:
         report = geometry.check_quotient_qi(fm, class_of)
     except NotACongruence as e:
@@ -498,8 +518,8 @@ def build_parser():
     p.add_argument("--classify", action="store_true")
     p.add_argument("--other", default=None,
                    help="second monoid: check domination instead")
-    p.add_argument("--lambda-max", dest="lambda_max", type=int, default=10)
-    p.add_argument("--c-max", dest="c_max", type=int, default=10)
+    p.add_argument("--lambda-max", dest="lambda_max", type=_positive_count, default=10)
+    p.add_argument("--c-max", dest="c_max", type=_count, default=10)
 
     p = add("ends", cmd_ends, help="estimate the number of ends")
     p.add_argument("--monoid", required=True)

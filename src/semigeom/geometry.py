@@ -31,6 +31,7 @@ from itertools import repeat
 from math import lcm
 from operator import add, gt
 
+from . import cayley
 from .distances import INF, INFINITE, ZERO, ExtDist, beyond, finite, scaled_rows
 from .errors import (
     CapExceeded,
@@ -515,22 +516,11 @@ def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
 
 def monoid_space(fm):
     """The whole finite monoid as a space under right Cayley distances."""
-    n = len(fm)
+    succ = [[row[g] for g in fm.gen_indices] for row in fm.table]
     matrix = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for g in fm.gen_indices:
-                v = fm.table[u][g]
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        matrix.append([finite(d) if d >= 0 else INFINITE for d in dist])
+    for s in range(len(fm)):
+        depth = cayley.bfs(succ, s)[0]
+        matrix.append([finite(d) if d >= 0 else INFINITE for d in depth])
     return Space(fm.names, matrix)
 
 
@@ -646,7 +636,6 @@ def check_product_projection_qi(pm, radius, cap=None):
     R is the largest decisive fiber diameter seen in the ball; pairs the
     ball cannot decide are skipped and counted.
     """
-    from . import cayley
     from .monoids import DEFAULT_CAP, Element
 
     if cap is None:
@@ -661,20 +650,20 @@ def check_product_projection_qi(pm, radius, cap=None):
         fibers.setdefault(lk, []).append(i)
     phi = tuple(phi)
 
-    r_bound = ZERO
+    source = space_from_ball(prod_ball)
+    scale, rows = source.dist.decoded
+    worst = 0
     skipped = 0
     for members in fibers.values():
         for x in members:
+            row = rows[x]
             for y in members:
-                d = prod_ball.distance(x, y)
-                if d.is_beyond():
+                d = row[y]
+                if d < 0:
                     skipped += 1
-                elif d.is_infinite():
-                    r_bound = INFINITE
-                elif r_bound.is_finite() and d.value > r_bound.value:
-                    r_bound = d
-
-    source = space_from_ball(prod_ball)
+                elif d > worst:
+                    worst = d
+    r_bound = INFINITE if worst == INF else finite(Fraction(worst, scale))
     target = space_from_ball(left_ball)
     notes = ["evidence at ball radius %d; %d fiber pairs undecided"
              % (radius, skipped)]

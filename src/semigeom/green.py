@@ -50,15 +50,11 @@ class FiniteMonoid:
             [key_index[mul(keys[i], keys[j])] for j in range(n)] for i in range(n)
         ]
         self.identity_index = key_index[monoid.identity.key]
-        self.gen_symbols = list(monoid.generator_symbols)
         self.gen_indices = [key_index[k] for k in monoid._gen_keys]
         self._green = None
 
     def __len__(self):
         return len(self.elements)
-
-    def mult(self, i, j):
-        return self.table[i][j]
 
     def element_index(self, x):
         """Index of an Element, a canonical name, or an index."""
@@ -86,9 +82,6 @@ class GreenStructure:
     l_class_of: list
     h_class_of: list
     r_order: list  # pairs (i, j), i != j, with R_i <=_R R_j
-
-    def h_class_sets(self):
-        return [frozenset(h) for h in self.h_classes]
 
 
 def _partition(n, key_of):
@@ -204,16 +197,9 @@ class _RClassGeometry:
         self.vertices = list(gs.r_classes[r_index])
         self.vpos = {x: k for k, x in enumerate(self.vertices)}
         n = len(self.vertices)
-        self.out_adj = [[] for _ in range(n)]
-        self.edges = []
-        for k, x in enumerate(self.vertices):
-            for sym, g in zip(fm.gen_symbols, fm.gen_indices):
-                y = fm.table[x][g]
-                t = self.vpos.get(y)
-                if t is not None:
-                    self.out_adj[k].append(t)
-                    self.edges.append((k, t, sym))
-        self.dist = [self._bfs(s) for s in range(n)]
+        succ = [[self.vpos[y] for y in (fm.table[x][g] for g in fm.gen_indices)
+                 if y in self.vpos] for x in self.vertices]
+        self.dist = [cayley.bfs(succ, s)[0] for s in range(n)]
         self.base = self.vpos[self.group.h_class[0]]
         # left multiplication by a stabilizer permutes the whole R-class
         self.vperms = []
@@ -222,20 +208,6 @@ class _RClassGeometry:
             assert sorted(images) == list(range(n))
             self.vperms.append(images)
         self.h_of_vertex = [gs.h_class_of[x] for x in self.vertices]
-
-    def _bfs(self, s):
-        dist = [-1] * len(self.vertices)
-        dist[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v in self.out_adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
 
     def vertex_name(self, k):
         return self.fm.names[self.vertices[k]]
@@ -373,7 +345,7 @@ def check_schutz_action_ball(m, radius, cap=DEFAULT_CAP):
             order.append(perm)
             reps.append(s)
 
-    graph = cayley.schutzenberger_ball(m, m.identity, radius, cap=cap)
+    graph = cayley.base_component(rball)
     nverts = len(graph.vertices)
     vkey = {v.key: i for i, v in enumerate(graph.vertices)}
     vperms = []
@@ -479,18 +451,8 @@ def svarc_milnor(fm, h_class, ball_radius=1, l=1):
         if sep <= l:
             s_set.append(g)
 
-    length = [-1] * group.order
-    length[group.identity_index] = 0
-    queue = [group.identity_index]
-    qi = 0
-    while qi < len(queue):
-        g = queue[qi]
-        qi += 1
-        for s in s_set:
-            t = group.table[g][s]
-            if length[t] < 0:
-                length[t] = length[g] + 1
-                queue.append(t)
+    s_columns = [[row[s] for s in s_set] for row in group.table]
+    length = cayley.bfs(s_columns, group.identity_index)[0]
     missing = [group.rep_names[g] for g in range(group.order) if length[g] < 0]
     if missing:
         raise NotGenerating(missing)

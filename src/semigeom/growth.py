@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from .cayley import build_cayley_ball
 from .monoids import DEFAULT_CAP, enumerate_out_ball
 
+# largest relative residual of a growth fit that classify_growth reports
+FIT_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class GrowthSequence:
@@ -122,7 +125,7 @@ def _exact_degree(values):
     return None
 
 
-def classify_growth(a, threshold=0.05):
+def classify_growth(a):
     """Growth-type estimate from the window.
 
     A tail half that is constant gives degree 0.  Otherwise, when the
@@ -131,7 +134,7 @@ def classify_growth(a, threshold=0.05):
     polynomial and Polynomial(d) is reported.  Failing both, a heuristic
     fits log g(m) against log m (polynomial) and against m (exponential)
     on the tail half and reports the better fit when its relative residual
-    beats the threshold, preferring polynomial on ties.  Needs a window of
+    beats FIT_THRESHOLD, preferring polynomial on ties.  Needs a window of
     length >= 8.
     """
     if a.window < 8:
@@ -147,10 +150,10 @@ def classify_growth(a, threshold=0.05):
     poly_slope, poly_res = _fit([math.log(t) for t in ms], ys)
     exp_slope, exp_res = _fit(list(ms), ys)
     if poly_res <= exp_res:
-        if poly_res < threshold:
+        if poly_res < FIT_THRESHOLD:
             return Polynomial(max(0, round(poly_slope)))
         return Inconclusive("best fit residual %.3f over threshold" % poly_res)
-    if exp_res < threshold:
+    if exp_res < FIT_THRESHOLD:
         return Exponential(round(math.exp(exp_slope), 2))
     return Inconclusive("best fit residual %.3f over threshold" % exp_res)
 

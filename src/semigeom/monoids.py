@@ -323,12 +323,12 @@ class ProductMonoid(Monoid):
 
     kind = "product"
 
-    def __init__(self, left, right, cap=GROUP_PROBE_CAP):
+    def __init__(self, left, right):
         super().__init__()
         self.left = left
         self.right = right
         self._identity_key = (left._identity_key, right._identity_key)
-        right_elements = enumerate_all(right, cap)
+        right_elements = enumerate_all(right, GROUP_PROBE_CAP)
         self.right_is_group = right_elements is not None and _is_group_elements(
             right, right_elements
         )
@@ -393,8 +393,8 @@ def _is_group_elements(m, elements):
     return True
 
 
-def direct_product(left, right, cap=GROUP_PROBE_CAP):
-    return ProductMonoid(left, right, cap)
+def direct_product(left, right):
+    return ProductMonoid(left, right)
 
 
 def enumerate_out_ball(m, radius, cap=DEFAULT_CAP):

@@ -459,6 +459,25 @@ def test_quotient_classes_must_cover(capsys, tmp_path):
     assert "does not cover" in err
 
 
+@pytest.mark.parametrize("classes,reason", [
+    ([["1", "a"], ["a", "0"]], "class 1: element 'a' is already in class 0"),
+    ([["1", "a", "a"], ["0"]], "class 0: element 'a' is already in class 0"),
+    (["1a0"], "class 0 must be a list of element names, got '1a0'"),
+    ([["1"], "a0"], "class 1 must be a list of element names, got 'a0'"),
+    ({"1a0": 1}, "classes file must be a list of member lists, got {'1a0': 1}"),
+    ("1a0", "classes file must be a list of member lists, got '1a0'"),
+    ([["1", "a"], ["zz", "0"]], "class 1: unknown element 'zz'"),
+    ([["1", "a"], [0]], "class 1: unknown element 0"),
+    ([["1", "a"], [["0"]]], "class 1: unknown element ['0']"),
+    ([["1", "0"]], "classes file does not cover every element: 'a' is in no class"),
+])
+def test_quotient_malformed_classes_exit_2(capsys, tmp_path, classes, reason):
+    path = write_json(tmp_path, "bad.classes", classes)
+    code, out, err = run(capsys, "quotient", "--monoid", "one-a-zero", "--classes", path)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-2] == "error: " + reason
+
+
 def test_quotient_projection(capsys, tmp_path):
     desc = write_json(tmp_path, "prod.monoid", {
         "kind": "product",
@@ -616,6 +635,7 @@ def test_bad_rational_options_exit_2(capsys, tmp_path, sym2, command, option, bo
     ["svarc", "--monoid", "z3", "--ball-radius", "-1"],
     ["svarc", "--monoid", "z3", "--l", "-1"],
     ["growth", "--monoid", "free2", "--mmax", "-3"],
+    ["growth", "--monoid", "free2", "--other", "integers", "--mmax", "4", "--c-max", "-3"],
     ["ends", "--monoid", "free2", "--kmax", "-1"],
     ["quotient", "--monoid", "z3", "--projection", "--radius", "-1"],
 ])
@@ -625,6 +645,22 @@ def test_negative_counts_exit_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.endswith("error: argument %s: expected an integer >= 0, got '%s'\n"
                         % (option, value))
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_growth_lambda_max_below_one_exits_2(capsys, value):
+    code, out, err = run(capsys, "growth", "--monoid", "free2", "--other", "integers",
+                         "--mmax", "4", "--lambda-max=%s" % value)
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --lambda-max: expected an integer >= 1, got '%s'\n"
+                        % value)
+
+
+def test_growth_least_bounds_are_accepted(capsys):
+    code, out, _ = run(capsys, "growth", "--monoid", "integers", "--other", "free-comm2",
+                       "--mmax", "12", "--lambda-max", "1", "--c-max", "0")
+    assert code == 0
+    assert out == "witness: lambda=1 c=0\nchecked: 0..12\n"
 
 
 def test_zero_counts_and_rationals_are_accepted(capsys, sym2):

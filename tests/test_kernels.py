@@ -1,23 +1,29 @@
-"""Row-at-a-time distance kernels against the per-entry loops they replaced.
+"""Row-at-a-time distance kernels and the shared breadth-first search
+against the loops they replaced.
 
 The space checks run on a Space's rows of exact integers over a common
 denominator; CayleyBall.distance_matrix builds each row from one BFS and
 distance_table formats from those rows.  The references below are the
 per-entry versions of the same functions, kept as oracles: every triple
 and every pair, in row-major order, through the ExtDist methods and
-Fraction arithmetic.
+Fraction arithmetic.  The last section keeps the separate searches that
+cayley.bfs replaced (ball distances with parent edges, R-class distances,
+Svarc word lengths, monoid_space, the component poset) as oracles too.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semigeom import catalog, cayley
+from conftest import rand_transformation_monoid
+from semigeom import catalog, cayley, green
 from semigeom.cayley import build_cayley_ball, distance_table
 from semigeom.distances import INFINITE, ZERO, beyond, finite
-from semigeom.errors import CapExceeded, NotStronglyConnected
+from semigeom.errors import CapExceeded, NotFinite, NotGenerating, NotStronglyConnected
 from semigeom.geometry import (
     EmbeddingReport,
     PairViolation,
@@ -26,13 +32,17 @@ from semigeom.geometry import (
     Space,
     Violation,
     check_axioms,
+    check_product_projection_qi,
     check_qi_embedding,
     eps_grid,
+    monoid_space,
     quasi_density,
     quasi_metricity_lambda,
     search_quasi_isometry,
     symmetrize,
 )
+from semigeom.green import FiniteMonoid, svarc_milnor
+from semigeom.monoids import TransformationMonoid, enumerate_all
 
 # -- references ------------------------------------------------------------------
 
@@ -530,3 +540,338 @@ def test_distance_table_matches_pair_formatter(name, make, radius):
         want = reference_distance_table(ball)
         fresh = build_cayley_ball(ball.monoid, radius, side=ball.side, base=ball.base)
         assert distance_table(fresh) == want
+
+
+# -- one breadth-first search ----------------------------------------------------
+#
+# The references below are the searches that cayley.bfs replaced: the
+# parent-edge search of CayleyBall, the R-class search of green, the word
+# lengths of svarc_milnor, the per-source search of monoid_space and the
+# second condensation of component_poset.
+
+
+def reference_bfs_from(ball, s):
+    out_adj = [[] for _ in ball.vertices]
+    for eid, (u, v, _label) in enumerate(ball.edges):
+        out_adj[u].append((v, eid))
+    dist = [-1] * len(ball.vertices)
+    parent_edge = [-1] * len(ball.vertices)
+    dist[s] = 0
+    queue = [s]
+    qi = 0
+    all_complete = ball.complete[s]
+    while qi < len(queue):
+        u = queue[qi]
+        qi += 1
+        for v, eid in out_adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                parent_edge[v] = eid
+                if not ball.complete[v]:
+                    all_complete = False
+                queue.append(v)
+    return dist, parent_edge, all_complete
+
+
+def reference_distance(ball, u, v):
+    dist, _parents, all_complete = reference_bfs_from(ball, u)
+    n = dist[v]
+    if n >= 0:
+        return finite(n) if n <= ball.radius else beyond(ball.radius)
+    return INFINITE if all_complete else beyond(ball.radius)
+
+
+def reference_geodesic(ball, u, v):
+    dist, parent_edge, _ = reference_bfs_from(ball, u)
+    if dist[v] < 0:
+        return None
+    labels = []
+    cur = v
+    while cur != u:
+        src, _dst, label = ball.edges[parent_edge[cur]]
+        labels.append(label)
+        cur = src
+    labels.reverse()
+    return labels
+
+
+def reference_schutzenberger_ball(m, h, radius):
+    ball = build_cayley_ball(m, radius, side=cayley.RIGHT, base=h)
+    scc = cayley.strongly_connected_components(ball)
+    keep = scc.components[scc.comp_of[0]]
+    remap = {old: new for new, old in enumerate(keep)}
+    complete = [ball.complete[i] for i in keep]
+    edges = []
+    for u, v, sym in ball.edges:
+        if u in remap:
+            if v in remap:
+                edges.append((remap[u], remap[v], sym))
+            else:
+                complete[remap[u]] = False
+    return cayley.CayleyBall(m, cayley.RIGHT, radius, h, [ball.vertices[i] for i in keep],
+                             [ball.lengths[i] for i in keep], edges, complete)
+
+
+def reference_condensation(ball, comp_of, k):
+    adj = [set() for _ in range(k)]
+    for u, v, _label in ball.edges:
+        if comp_of[u] != comp_of[v]:
+            adj[comp_of[u]].add(comp_of[v])
+    return adj
+
+
+def reference_component_poset(ball, scc):
+    adj = reference_condensation(ball, scc.comp_of, len(scc.components))
+    reach = []
+    for c in range(len(adj)):
+        seen = {c}
+        todo = [c]
+        while todo:
+            cur = todo.pop()
+            for s in adj[cur]:
+                if s not in seen:
+                    seen.add(s)
+                    todo.append(s)
+        reach.append(seen)
+    return reach
+
+
+def reference_verified(ball, scc):
+    reach = reference_component_poset(ball, scc)
+    return [all(ball.complete[v] for d in reach[c] for v in scc.components[d])
+            for c in range(len(scc.components))]
+
+
+def reference_rclass_dist(fm, geo):
+    vpos = {x: k for k, x in enumerate(geo.vertices)}
+    out_adj = [[] for _ in geo.vertices]
+    for k, x in enumerate(geo.vertices):
+        for g in fm.gen_indices:
+            t = vpos.get(fm.table[x][g])
+            if t is not None:
+                out_adj[k].append(t)
+    rows = []
+    for s in range(len(geo.vertices)):
+        dist = [-1] * len(geo.vertices)
+        dist[s] = 0
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for v in out_adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        rows.append(dist)
+    return rows
+
+
+def reference_word_lengths(group, s_set):
+    length = [-1] * group.order
+    length[group.identity_index] = 0
+    queue = [group.identity_index]
+    qi = 0
+    while qi < len(queue):
+        g = queue[qi]
+        qi += 1
+        for s in s_set:
+            t = group.table[g][s]
+            if length[t] < 0:
+                length[t] = length[g] + 1
+                queue.append(t)
+    return length
+
+
+def reference_monoid_space_rows(fm):
+    n = len(fm)
+    matrix = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for g in fm.gen_indices:
+                v = fm.table[u][g]
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        matrix.append([finite(d) if d >= 0 else INFINITE for d in dist])
+    return matrix
+
+
+def ball_and_schutz_balls(make, radius):
+    m = make()
+    yield from balls(make, radius)
+    gens = [g for _, g in m.generators()]
+    for h in (m.identity, m.multiply(gens[0], gens[-1])):
+        sb = cayley.schutzenberger_ball(m, h, radius)
+        want = reference_schutzenberger_ball(m, h, radius)
+        assert [sb.vertices, sb.lengths, sb.edges, sb.complete, sb.radius, sb.base] == [
+            want.vertices, want.lengths, want.edges, want.complete, want.radius, want.base]
+        yield sb
+
+
+@pytest.mark.parametrize("name,make,radius", BALLS, ids=[b[0] for b in BALLS])
+def test_ball_search_matches_parent_edge_search(name, make, radius):
+    for ball in ball_and_schutz_balls(make, radius):
+        n = len(ball)
+        for u in range(n):
+            dist, _parents, all_complete = reference_bfs_from(ball, u)
+            depth, order, got_complete = ball._bfs_from(u)
+            assert depth == dist
+            assert got_complete == all_complete
+            assert sorted(order) == [v for v in range(n) if dist[v] >= 0]
+            for v in range(n):
+                assert ball.distance(u, v) == reference_distance(ball, u, v)
+                assert ball.geodesic(u, v) == reference_geodesic(ball, u, v)
+
+
+@pytest.mark.parametrize("name,make,radius", BALLS, ids=[b[0] for b in BALLS])
+def test_condensation_matches_reference(name, make, radius):
+    for ball in ball_and_schutz_balls(make, radius):
+        scc = cayley.strongly_connected_components(ball)
+        k = len(scc.components)
+        assert scc.succ == reference_condensation(ball, scc.comp_of, k)
+        assert scc.verified == reference_verified(ball, scc)
+        assert cayley.component_poset(ball, scc) == reference_component_poset(ball, scc)
+
+
+def t4_monoid():
+    return TransformationMonoid(
+        4, [("s", [1, 2, 3, 0]), ("t", [1, 0, 2, 3]), ("e", [0, 0, 2, 3])])
+
+
+# seeded random transformation monoids of degree <= 4 (4-128 elements) and
+# <= 5 (24-221 elements)
+FINITE = [("t3", lambda: catalog.monoid("t3")), ("t4", t4_monoid)] + [
+    ("random-%d-deg%d" % (seed, degree), lambda seed=seed, degree=degree:
+     rand_transformation_monoid(random.Random(seed), max_degree=degree))
+    for seed, degree in ((5, 4), (6, 4), (9, 4), (11, 4), (0, 5), (3, 5), (5, 5), (11, 5))
+]
+
+
+@pytest.mark.parametrize("name,make", FINITE, ids=[f[0] for f in FINITE])
+def test_table_searches_match_references(name, make):
+    fm = FiniteMonoid(make())
+    assert monoid_space(fm).dist == tuple(map(tuple, reference_monoid_space_rows(fm)))
+    gs = fm.green()
+    for r_class in gs.r_classes:
+        h_class = gs.h_classes[gs.h_class_of[r_class[0]]]
+        geo = green._RClassGeometry(fm, h_class)
+        assert geo.dist == reference_rclass_dist(fm, geo)
+        for ball_radius in (0, 1, 2):
+            try:
+                report = svarc_milnor(fm, h_class, ball_radius=ball_radius)
+            except NotGenerating:
+                continue
+            assert report.word_length == reference_word_lengths(geo.group, report.s_indices)
+
+
+@pytest.mark.parametrize("name,make", FINITE, ids=[f[0] for f in FINITE])
+def test_svarc_missing_elements_match_reference(name, make):
+    fm = FiniteMonoid(make())
+    gs = fm.green()
+    for h_class in gs.h_classes:
+        geo = green._RClassGeometry(fm, h_class)
+        if geo.group.order == 1:
+            continue
+        # at l = 0 the strong 0-ball {x0} gives S = {e}, which generates
+        # only the identity
+        want = [geo.group.rep_names[g] for g, d in enumerate(
+            reference_word_lengths(geo.group, [geo.group.identity_index])) if d < 0]
+        with pytest.raises(NotGenerating) as caught:
+            svarc_milnor(fm, h_class, ball_radius=0, l=0)
+        assert caught.value.missing == want
+
+
+@pytest.mark.parametrize("name", ["free2", "free-comm2", "free-comm3", "bicyclic", "integers"])
+@pytest.mark.parametrize("radius", [2, 3, 4, 5, 6])
+def test_evidence_action_matches_fresh_schutzenberger_ball(monkeypatch, name, radius):
+    m = catalog.monoid(name)
+    got = green.check_schutz_action_ball(m, radius)
+    # the report as built from a second, separately built right ball
+    monkeypatch.setattr(cayley, "base_component", lambda ball: reference_schutzenberger_ball(
+        ball.monoid, ball.monoid.identity, ball.radius))
+    assert got == green.check_schutz_action_ball(m, radius)
+
+
+def counting_products(m):
+    products = []
+    mul = m._mul_key
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    m._mul_key = counted
+    return products
+
+
+GRAPHS = FINITE[:4] + [("one-a-zero-b", lambda: catalog.monoid("one-a-zero-b")),
+                       ("z3", lambda: catalog.monoid("z3"))]
+
+
+@pytest.mark.parametrize("name,make", GRAPHS, ids=[g[0] for g in GRAPHS])
+@pytest.mark.parametrize("side", [cayley.RIGHT, cayley.LEFT])
+def test_full_cayley_graph_makes_one_product_per_slot(name, make, side):
+    m = make()
+    elements = enumerate_all(m)
+    want = build_cayley_ball(m, len(elements) + 1, side=side)
+    products = counting_products(m)
+    graph = cayley.full_cayley_graph(m, side=side)
+    slots = [(v.key, g) if side == cayley.RIGHT else (g, v.key)
+             for v in graph.vertices for g in m._gen_keys]
+    assert len(graph) == len(elements)
+    assert Counter(products) == Counter(slots)
+    assert [graph.vertices, graph.lengths, graph.edges, graph.complete, graph.radius] == [
+        want.vertices, want.lengths, want.edges, want.complete, want.radius]
+    assert all(graph.complete)
+
+
+def test_full_cayley_graph_not_finite_within_cap():
+    with pytest.raises(NotFinite):
+        cayley.full_cayley_graph(catalog.monoid("bicyclic"), cap=50)
+    size = len(enumerate_all(catalog.monoid("t3")))
+    with pytest.raises(NotFinite):
+        cayley.full_cayley_graph(catalog.monoid("t3"), cap=size - 1)
+    assert len(cayley.full_cayley_graph(catalog.monoid("t3"), cap=size)) == size
+
+
+def reference_fiber_diameters(pm, radius):
+    """(r_bound, skipped) from one CayleyBall.distance call per fiber pair."""
+    ball = build_cayley_ball(pm, radius)
+    fibers = {}
+    for i, v in enumerate(ball.vertices):
+        fibers.setdefault(v.key[0], []).append(i)
+    r_bound = ZERO
+    skipped = 0
+    for members in fibers.values():
+        for x in members:
+            for y in members:
+                d = ball.distance(x, y)
+                if d.is_beyond():
+                    skipped += 1
+                elif d.is_infinite():
+                    r_bound = INFINITE
+                elif r_bound.is_finite() and d.value > r_bound.value:
+                    r_bound = d
+    return r_bound, skipped
+
+
+PRODUCTS = [("bicyclic", "z2"), ("integers", "z3"), ("bicyclic", "one-a-zero"),
+            ("integers", "bicyclic"), ("free2", "t2"), ("one-a-zero", "t2"), ("z2", "one-a-zero")]
+
+
+@pytest.mark.parametrize("left,right", PRODUCTS, ids=["%s-x-%s" % p for p in PRODUCTS])
+def test_projection_fibers_match_distance_loop(left, right):
+    pm = catalog.product(left, right)
+    for radius in (1, 2, 3, 4):
+        report = check_product_projection_qi(pm, radius)
+        want = reference_fiber_diameters(pm, radius)
+        assert (report.r_bound, report.skipped_fiber_pairs) == want
+        assert report.notes[0] == ("evidence at ball radius %d; %d fiber pairs undecided"
+                                   % (radius, want[1]))
