@@ -20,8 +20,7 @@ from itertools import repeat
 
 from .distances import INFINITE, ExtDist, beyond, finite, map_rows
 from .errors import CapExceeded, NotFinite
-# enumerate_all stays importable from here: perfbench/selftest.py checks that
-# the tracer rebinds it as a from-import of this module
+# unused here; perfbench/selftest.py checks the tracer rebinds this from-import
 from .monoids import DEFAULT_CAP, Element, enumerate_all  # noqa: F401
 
 RIGHT = "right"
@@ -132,10 +131,12 @@ class CayleyBall:
             return None
         labels = []
         while v != u:
-            # the search reached v from the first vertex in search order
-            # with an edge to it, along that vertex's first such edge
-            # (edges are ordered by source, then generator)
-            src = next(x for x in order if v in self.out_adj[x])
+            # the search reached v by the first edge (by source, then
+            # generator) out of the first vertex in search order, a level up
+            i = bisect_left(order, depth[v] - 1, key=depth.__getitem__)
+            while v not in self.out_adj[order[i]]:
+                i += 1
+            src = order[i]
             eid = bisect_left(self.edges, (src,)) + self.out_adj[src].index(v)
             labels.append(self.edges[eid][2])
             v = src
@@ -325,14 +326,13 @@ def component_poset(ball, scc=None):
     return [set(bfs(scc.succ, c)[1]) for c in range(len(scc.components))]
 
 
-def base_component(ball, scc=None):
+def base_component(ball, scc):
     """The strongly connected component of the ball's base, as a CayleyBall.
 
-    Vertex order, lengths (distances from the base), and edges are induced
-    from the ball; completeness is recomputed relative to the subgraph.
+    scc is the ball's SccResult.  Vertex order, lengths (distances from the
+    base), and edges are induced from the ball; completeness is recomputed
+    relative to the subgraph.
     """
-    if scc is None:
-        scc = strongly_connected_components(ball)
     keep = scc.components[scc.comp_of[0]]
     remap = {old: new for new, old in enumerate(keep)}
     vertices = [ball.vertices[i] for i in keep]
@@ -355,7 +355,8 @@ def schutzenberger_ball(m, h, radius, cap=DEFAULT_CAP):
     This is the in-ball approximation of the Schutzenberger graph of the
     R-class of h: vertices mutually reachable with h using in-ball paths.
     """
-    return base_component(build_cayley_ball(m, radius, side=RIGHT, base=h, cap=cap))
+    ball = build_cayley_ball(m, radius, side=RIGHT, base=h, cap=cap)
+    return base_component(ball, strongly_connected_components(ball))
 
 
 # -- geodesic realization ----------------------------------------------------

@@ -316,6 +316,11 @@ def check_schutz_action_finite(fm, h_class, radius=8):
 def ball_h_class_of_identity(m, radius, cap=DEFAULT_CAP):
     """In-ball evidence for the identity's H-class: elements mutually
     reachable with the identity in both the right and the left ball."""
+    return _identity_h_class(m, radius, cap)[:2]
+
+
+def _identity_h_class(m, radius, cap):
+    """ball_h_class_of_identity, plus the right ball's components."""
     rball = cayley.build_cayley_ball(m, radius, side=cayley.RIGHT, cap=cap)
     lball = cayley.build_cayley_ball(m, radius, side=cayley.LEFT, cap=cap)
     rscc = cayley.strongly_connected_components(rball)
@@ -323,12 +328,12 @@ def ball_h_class_of_identity(m, radius, cap=DEFAULT_CAP):
     right = {rball.vertices[v].key for v in rscc.components[rscc.comp_of[0]]}
     left = {lball.vertices[v].key for v in lscc.components[lscc.comp_of[0]]}
     keys = right & left
-    return [v for v in rball.vertices if v.key in keys], rball
+    return [v for v in rball.vertices if v.key in keys], rball, rscc
 
 
 def check_schutz_action_ball(m, radius, cap=DEFAULT_CAP):
     """Horizon-stamped evidence mode for infinite monoids."""
-    h_class, rball = ball_h_class_of_identity(m, radius, cap=cap)
+    h_class, rball, rscc = _identity_h_class(m, radius, cap)
     hkeys = {h.key for h in h_class}
     pos = {h.key: k for k, h in enumerate(h_class)}
     # stabilizer candidates are drawn from the ball only: evidence
@@ -345,7 +350,7 @@ def check_schutz_action_ball(m, radius, cap=DEFAULT_CAP):
             order.append(perm)
             reps.append(s)
 
-    graph = cayley.base_component(rball)
+    graph = cayley.base_component(rball, rscc)
     nverts = len(graph.vertices)
     vkey = {v.key: i for i, v in enumerate(graph.vertices)}
     vperms = []

@@ -719,6 +719,9 @@ def ball_and_schutz_balls(make, radius):
 def test_ball_search_matches_parent_edge_search(name, make, radius):
     for ball in ball_and_schutz_balls(make, radius):
         n = len(ball)
+        # geodesic finds a vertex's edges by bisecting on the source
+        sources = [e[0] for e in ball.edges]
+        assert sources == sorted(sources)
         for u in range(n):
             dist, _parents, all_complete = reference_bfs_from(ball, u)
             depth, order, got_complete = ball._bfs_from(u)
@@ -794,9 +797,32 @@ def test_evidence_action_matches_fresh_schutzenberger_ball(monkeypatch, name, ra
     m = catalog.monoid(name)
     got = green.check_schutz_action_ball(m, radius)
     # the report as built from a second, separately built right ball
-    monkeypatch.setattr(cayley, "base_component", lambda ball: reference_schutzenberger_ball(
+    monkeypatch.setattr(cayley, "base_component", lambda ball, scc: reference_schutzenberger_ball(
         ball.monoid, ball.monoid.identity, ball.radius))
     assert got == green.check_schutz_action_ball(m, radius)
+
+
+@pytest.mark.parametrize("name", ["free2", "bicyclic", "integers"])
+def test_evidence_action_searches_each_ball_once(monkeypatch, name):
+    m = catalog.monoid(name)
+    built = []
+    searched = []
+    build, tarjan = cayley.build_cayley_ball, cayley.strongly_connected_components
+
+    def counted_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def counted_tarjan(ball):
+        searched.append(ball)
+        return tarjan(ball)
+
+    monkeypatch.setattr(cayley, "build_cayley_ball", counted_build)
+    monkeypatch.setattr(cayley, "strongly_connected_components", counted_tarjan)
+    green.check_schutz_action_ball(m, 4)
+    # the right and the left ball, each built and searched once
+    assert len(built) == 2
+    assert searched == built
 
 
 def counting_products(m):
