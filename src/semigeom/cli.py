@@ -25,6 +25,7 @@ from .errors import (
     NotFinite,
     NotGenerating,
     NotStronglyConnected,
+    ProvedInfinite,
     SemigeomError,
 )
 from .monoids import DEFAULT_CAP, ProductMonoid
@@ -105,13 +106,15 @@ def cmd_ball(args):
 
 def cmd_dist(args):
     m = _load_monoid(args.monoid)
+    source = m.parse_element(args.source)
+    target = m.parse_element(args.target)
     ball = cayley.build_cayley_ball(m, args.radius, cap=args.cap)
     _say("horizon: %d" % args.radius)
     try:
-        u = ball.index_of(m.parse_element(args.source))
-        v = ball.index_of(m.parse_element(args.target))
+        u = ball.index_of(source)
+        v = ball.index_of(target)
     except KeyError:
-        # the endpoint itself is out of the ball; nothing is decidable
+        # a valid endpoint out of the ball; nothing is decidable
         _say("distance: >%d" % args.radius)
         return 0
     d = ball.distance(u, v)
@@ -574,6 +577,9 @@ def main(argv=None):
         code = args.func(args)
     except CapExceeded as e:
         print("error: %s (raise --cap)" % e, file=sys.stderr)
+        code = 2
+    except ProvedInfinite as e:
+        print("error: %s (use an evidence-mode command)" % e, file=sys.stderr)
         code = 2
     except NotFinite as e:
         print("error: %s (raise --cap or use an evidence-mode command)" % e,

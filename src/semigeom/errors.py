@@ -25,6 +25,10 @@ class NotFinite(SemigeomError):
     """An operation that needs a finite monoid hit the enumeration cap."""
 
 
+class ProvedInfinite(NotFinite):
+    """An operation that needs a finite monoid got one proved infinite."""
+
+
 class NotAnHClass(SemigeomError):
     """The supplied element set is not an H-class of the monoid."""
 

@@ -18,8 +18,8 @@ ball shows.
 from dataclasses import dataclass, field
 
 from . import cayley
-from .errors import NotAnHClass, NotFinite, NotGenerating
-from .monoids import DEFAULT_CAP, enumerate_all
+from .errors import NotAnHClass, NotFinite, NotGenerating, ProvedInfinite
+from .monoids import DEFAULT_CAP, enumerate_all, proved_infinite
 
 # finiteness probes stop here by default: proving a monoid finite means
 # exhausting it, which is pointlessly slow when the caller only wants an
@@ -31,10 +31,14 @@ class FiniteMonoid:
     """A fully enumerated monoid with an integer multiplication table.
 
     elements keep the deterministic ball-enumeration order, so index 0 is
-    the identity and indices are comparable across runs.
+    the identity and indices are comparable across runs.  A monoid proved
+    infinite raises ProvedInfinite before anything is enumerated; one not
+    exhausted within the cap raises NotFinite.
     """
 
     def __init__(self, monoid, cap=DEFAULT_CAP):
+        if proved_infinite(monoid):
+            raise ProvedInfinite("monoid is infinite")
         elements = enumerate_all(monoid, cap)
         if elements is None:
             raise NotFinite("monoid not exhausted within cap %d" % cap)
@@ -244,9 +248,10 @@ def check_schutz_action(m, h_element=None, radius=8, cap=DEFAULT_CAP,
 
     Finite monoids get the exact R-class computation for the H-class of
     h_element (default: identity); infinite ones get ball evidence at the
-    stated radius with the identity's in-ball H-class.  Finiteness is
-    probed only up to probe_cap elements; a finite monoid bigger than that
-    is treated as infinite unless probe_cap is raised.
+    stated radius with the identity's in-ball H-class.  A monoid that
+    monoids.proved_infinite decides is infinite skips the probe; any other
+    is probed only up to probe_cap elements, and a finite monoid bigger
+    than that is treated as infinite unless probe_cap is raised.
     """
     try:
         fm = FiniteMonoid(m, cap=min(cap, probe_cap))

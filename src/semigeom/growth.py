@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .cayley import build_cayley_ball
-from .monoids import DEFAULT_CAP, enumerate_out_ball
+from .errors import CapExceeded
+from .monoids import DEFAULT_CAP, RewritingMonoid, enumerate_out_ball
+from .rewriting import LeftSideAutomaton
 
 # largest relative residual of a growth fit that classify_growth reports
 FIT_THRESHOLD = 0.05
@@ -36,15 +38,30 @@ class GrowthSequence:
 
 
 def growth_sequence(m, mmax, cap=DEFAULT_CAP):
-    """Exact ball sizes |B(0)| .. |B(mmax)| from identity-based BFS."""
-    counts = [0] * (mmax + 1)
-    for le in enumerate_out_ball(m, mmax, cap):
-        counts[le.length] += 1
+    """Exact ball sizes |B(0)| .. |B(mmax)|.
+
+    A rewriting monoid generated by its alphabet has one normal form per
+    element, and a shortlex normal form is a shortest word for its
+    element, so the sphere sizes are the counts of irreducible words by
+    length, read off the left-side automaton.  Every other monoid is
+    enumerated breadth-first from the identity.  Either way CapExceeded is
+    raised as soon as the ball passes the cap (the identity alone never
+    does, as in enumeration).
+    """
+    if isinstance(m, RewritingMonoid) and not m.extra_generators:
+        spheres = LeftSideAutomaton(m.system).counts()
+    else:
+        spheres = [0] * (mmax + 1)
+        for le in enumerate_out_ball(m, mmax, cap):
+            spheres[le.length] += 1
     values = []
     total = 0
-    for c in counts:
+    for _, c in zip(range(mmax + 1), spheres):
         total += c
+        if total > max(cap, 1):
+            raise CapExceeded(cap)
         values.append(total)
+    values += [total] * (mmax + 1 - len(values))
     return GrowthSequence(tuple(values), label=str(m.description()))
 
 

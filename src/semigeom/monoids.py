@@ -12,7 +12,7 @@ on every ball.
 from typing import NamedTuple
 
 from .errors import BackendMismatch, CapExceeded, UnknownSymbol
-from .rewriting import RewritingSystem, format_word, parse_word
+from .rewriting import LeftSideAutomaton, RewritingSystem, format_word, parse_word
 
 DEFAULT_CAP = 10**6
 
@@ -206,14 +206,18 @@ class TransformationMonoid(Monoid):
         return "(" + ",".join(str(i) for i in key) + ")"
 
     def _parse_key(self, text):
-        text = text.strip("[]()")
-        if "," in text:
-            parts = [int(p) for p in text.split(",")]
-        else:
-            parts = [int(c) for c in text]
-        if len(parts) != self.degree:
-            raise ValueError("expected %d images, got %r" % (self.degree, text))
-        return tuple(parts)
+        body = text.strip("[]()")
+        parts = body.split(",") if "," in body else list(body)
+        try:
+            images = tuple(int(p) for p in parts)
+        except ValueError:
+            images = None
+        if images is None or len(images) != self.degree or any(
+            not 0 <= i < self.degree for i in images
+        ):
+            raise ValueError("element %r is not a list of %d images in 0..%d"
+                             % (text, self.degree, self.degree - 1))
+        return images
 
     def description(self):
         return {
@@ -395,6 +399,17 @@ def _is_group_elements(m, elements):
 
 def direct_product(left, right):
     return ProductMonoid(left, right)
+
+
+def proved_infinite(m):
+    """True when m is infinite by a proof that enumerates nothing: a
+    rewriting monoid whose left-side automaton has a reachable cycle, or a
+    product with such a factor.  False means unknown, not finite."""
+    if isinstance(m, RewritingMonoid):
+        return not LeftSideAutomaton(m.system).is_finite()
+    if isinstance(m, ProductMonoid):
+        return proved_infinite(m.left) or proved_infinite(m.right)
+    return False
 
 
 def enumerate_out_ball(m, radius, cap=DEFAULT_CAP):

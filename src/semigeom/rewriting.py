@@ -161,30 +161,46 @@ class RewritingSystem:
         For rules i and j this collects proper suffix/prefix overlaps of
         lhs_i with lhs_j and every containment of lhs_j inside lhs_i (the
         full self-containment of a rule in itself is skipped).  Order is
-        deterministic: rule pairs in declaration order, positions ascending.
+        deterministic: rule pairs in declaration order, overlaps before
+        containments, positions ascending.
+
+        Each rule looks its own proper suffixes up among the proper
+        prefixes of all left sides, and its factors among the whole left
+        sides, instead of scanning every pair of rules.
         """
-        pairs = []
         rules = self.rules
+        prefixes = {}
+        wholes = {}
+        for j, rule in enumerate(rules):
+            lhs = rule.lhs
+            for k in range(1, len(lhs)):
+                prefixes.setdefault(lhs[:k], []).append(j)
+            wholes.setdefault(lhs, []).append(j)
+        lengths = sorted({len(lhs) for lhs in wholes})
+        found = []
         for i, ri in enumerate(rules):
-            for j, rj in enumerate(rules):
-                li, lj = ri.lhs, rj.lhs
-                # suffix of lhs_i equals prefix of lhs_j, proper on both sides
-                for k in range(1, min(len(li), len(lj))):
-                    if li[len(li) - k :] == lj[:k]:
-                        peak = li + lj[k:]
-                        red1 = ri.rhs + lj[k:]
-                        red2 = li[: len(li) - k] + rj.rhs
-                        pairs.append((peak, red1, red2))
-                # lhs_j contained in lhs_i
-                for p in range(0, len(li) - len(lj) + 1):
-                    if li[p : p + len(lj)] == lj:
-                        if i == j and len(li) == len(lj):
+            li = ri.lhs
+            n = len(li)
+            # suffix of lhs_i equals prefix of lhs_j, proper on both sides
+            for k in range(1, n):
+                for j in prefixes.get(li[n - k :], ()):
+                    rj = rules[j]
+                    peak = li + rj.lhs[k:]
+                    red1 = ri.rhs + rj.lhs[k:]
+                    red2 = li[: n - k] + rj.rhs
+                    found.append(((i, j, 0, k), (peak, red1, red2)))
+            # lhs_j contained in lhs_i
+            for size in lengths:
+                if size > n:
+                    break
+                for p in range(n - size + 1):
+                    for j in wholes.get(li[p : p + size], ()):
+                        if i == j and size == n:
                             continue
-                        peak = li
-                        red1 = ri.rhs
-                        red2 = li[:p] + rj.rhs + li[p + len(lj) :]
-                        pairs.append((peak, red1, red2))
-        return pairs
+                        red2 = li[:p] + rules[j].rhs + li[p + size :]
+                        found.append(((i, j, 1, p), (li, ri.rhs, red2)))
+        found.sort(key=lambda item: item[0])
+        return [pair for _, pair in found]
 
     def check_complete(self):
         """None when every critical pair joins; else the first failure."""
@@ -200,3 +216,86 @@ class RewritingSystem:
             "%s->%s" % (format_word(r.lhs), format_word(r.rhs)) for r in self.rules
         )
         return "RewritingSystem(%r, [%s])" % (list(self.alphabet), shown)
+
+
+class LeftSideAutomaton:
+    """The Aho-Corasick automaton of a system's left sides, restricted to
+    irreducible words (Aho & Corasick 1975).
+
+    States are the prefixes of left sides, state 0 the empty word; reading
+    a word from state 0 ends in the state of its longest suffix that is
+    such a prefix.  delta[state][letter] is the next state, letters indexed
+    in alphabet order, or -1 when the letter completes a left side, so the
+    words readable from state 0 are exactly the irreducible ones.  On a
+    complete system those are the normal forms, one per element.
+    """
+
+    def __init__(self, system):
+        rank = system._rank
+        goto = [{}]
+        terminal = [False]
+        for rule in system.rules:
+            state = 0
+            for sym in rule.lhs:
+                nxt = goto[state].get(rank[sym])
+                if nxt is None:
+                    nxt = len(goto)
+                    goto[state][rank[sym]] = nxt
+                    goto.append({})
+                    terminal.append(False)
+                state = nxt
+            terminal[state] = True
+        letters = range(len(system.alphabet))
+        delta = [None] * len(goto)
+        delta[0] = [goto[0].get(a, 0) for a in letters]
+        fail = [0] * len(goto)
+        # breadth-first, so a state's failure target is finished before it
+        queue = list(goto[0].values())
+        for state in queue:
+            terminal[state] = terminal[state] or terminal[fail[state]]
+            back = delta[fail[state]]
+            row = list(back)
+            for a, child in goto[state].items():
+                fail[child] = back[a]
+                row[a] = child
+                queue.append(child)
+            delta[state] = row
+        # a left side ends wherever a terminal state is entered
+        self.delta = [[-1 if terminal[t] else t for t in row] for row in delta]
+
+    def is_finite(self):
+        """True when only finitely many words are irreducible: no cycle
+        through live states is reachable from state 0 (iterative DFS)."""
+        delta = self.delta
+        colour = [0] * len(delta)  # 0 unseen, 1 on the stack, 2 done
+        colour[0] = 1
+        stack = [(0, iter(delta[0]))]
+        while stack:
+            state, succ = stack[-1]
+            for nxt in succ:
+                if nxt < 0 or colour[nxt] == 2:
+                    continue
+                if colour[nxt] == 1:
+                    return False
+                colour[nxt] = 1
+                stack.append((nxt, iter(delta[nxt])))
+                break
+            else:
+                colour[state] = 2
+                stack.pop()
+        return True
+
+    def counts(self):
+        """The number of irreducible words of length 0, 1, 2, ..., computed
+        length by length with a transfer vector over the live states;
+        the sequence ends when a length has none."""
+        delta = self.delta
+        vector = {0: 1}
+        while vector:
+            yield sum(vector.values())
+            nxt = {}
+            for state, count in vector.items():
+                for target in delta[state]:
+                    if target >= 0:
+                        nxt[target] = nxt.get(target, 0) + count
+            vector = nxt

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from semigeom import catalog, cayley, descriptions
+from semigeom import catalog, cayley, descriptions, green
 from semigeom.cli import main
 from semigeom.distances import finite
 
@@ -107,6 +107,10 @@ def test_dist_undecided(capsys):
 def test_dist_endpoint_out_of_ball(capsys):
     code, out, _ = run(capsys, "dist", "--monoid", "bicyclic", "--radius", "1",
                        "--source", "bb", "--target", "b")
+    assert code == 0
+    assert out == "horizon: 1\ndistance: >1\n"
+    code, out, _ = run(capsys, "dist", "--monoid", "t3", "--radius", "1",
+                       "--source", "012", "--target", "000")
     assert code == 0
     assert out == "horizon: 1\ndistance: >1\n"
 
@@ -668,3 +672,48 @@ def test_zero_counts_and_rationals_are_accepted(capsys, sym2):
     assert code == 0 and out == "vertex\tlength\n\u03b5\t0\n"
     code, out, _ = run(capsys, "quasimetric", "--source", sym2, "--epsilon", "0")
     assert code == 0 and "lambda: 1\n" in out
+
+
+# -- element parsing and proved-infinite monoids -------------------------------------
+
+
+@pytest.mark.parametrize("argv, element", [
+    (["dist", "--monoid", "t3", "--radius", "9", "--source", "333", "--target", "012"],
+     "333"),
+    (["act", "--monoid", "t3", "--element", "333"], "333"),
+    (["svarc", "--monoid", "t3", "--element", "zz"], "zz"),
+    (["schutz", "--monoid", "t3", "--element", "01"], "01"),
+])
+def test_bad_transformation_elements_exit_2(capsys, argv, element):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert ("error: element %r is not a list of 3 images in 0..2\n" % element) in err
+
+
+@pytest.mark.parametrize("monoid", ["free2", "bicyclic"])
+@pytest.mark.parametrize("command", ["green", "svarc", "quotient"])
+def test_proved_infinite_monoids_fail_at_once(capsys, monkeypatch, tmp_path, monoid,
+                                              command):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a proved-infinite monoid was enumerated")
+
+    monkeypatch.setattr(green, "enumerate_all", no_enumeration)
+    argv = [command, "--monoid", monoid]
+    if command == "quotient":
+        argv += ["--classes", write_json(tmp_path, "c.json", [["ε"]])]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: monoid is infinite (use an evidence-mode command)\n" in err
+    assert "raise --cap" not in err
+
+
+def test_finite_rewriting_monoid_beyond_the_probe_cap(capsys, tmp_path):
+    z5 = write_json(tmp_path, "z5.json",
+                    {"kind": "rewriting", "alphabet": ["a"], "rules": [["aaaaa", ""]]})
+    code, out, _ = run(capsys, "schutz", "--monoid", z5, "--probe-cap", "4")
+    assert code == 0 and out.startswith("mode: evidence\n")
+    code, out, _ = run(capsys, "schutz", "--monoid", z5, "--probe-cap", "5")
+    assert code == 0 and out.startswith("mode: exact\n")
+    code, _, err = run(capsys, "green", "--monoid", z5, "--cap", "4")
+    assert code == 2
+    assert "(raise --cap or use an evidence-mode command)" in err

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import rand_transformation_monoid
 from semigeom import catalog, green
-from semigeom.errors import NotAnHClass, NotFinite, NotGenerating
+from semigeom.errors import NotAnHClass, NotFinite, NotGenerating, ProvedInfinite
 from semigeom.green import (
     FiniteMonoid,
     ball_h_class_of_identity,
@@ -20,6 +20,8 @@ from semigeom.green import (
     schutz_group,
     svarc_milnor,
 )
+from semigeom.monoids import RewritingMonoid, enumerate_all, proved_infinite
+from semigeom.rewriting import RewritingSystem
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +289,44 @@ def test_svarc_not_generating(t3):
     with pytest.raises(NotGenerating) as info:
         svarc_milnor(t3, gs.h_classes[0], ball_radius=0, l=0)
     assert len(info.value.missing) == 5  # everything but the identity
+
+
+# -- proved-infinite monoids skip the finiteness probe ----------------------------------
+
+
+def no_enumeration(*args, **kwargs):
+    raise AssertionError("a proved-infinite monoid was enumerated")
+
+
+@pytest.mark.parametrize("m", [
+    catalog.monoid("free2"), catalog.monoid("bicyclic"), catalog.monoid("integers"),
+    catalog.product("free2", "z2"), catalog.product("z2", "bicyclic"),
+], ids=["free2", "bicyclic", "integers", "free2-x-z2", "z2-x-bicyclic"])
+def test_finite_monoid_refuses_proved_infinite_without_enumerating(monkeypatch, m):
+    assert proved_infinite(m)
+    monkeypatch.setattr(green, "enumerate_all", no_enumeration)
+    with pytest.raises(ProvedInfinite, match="infinite"):
+        FiniteMonoid(m)
+    report = check_schutz_action(m, radius=3)
+    assert not report.exact
+
+
+@pytest.mark.parametrize("m", [
+    catalog.monoid("t3"), catalog.monoid("z3"), catalog.monoid("one-a-zero"),
+    catalog.product("z3", "z2"),
+    RewritingMonoid(RewritingSystem(("a",), [("aaa", "")])),
+], ids=["t3", "z3", "one-a-zero", "z3-x-z2", "rewriting-z3"])
+def test_finite_and_undecided_monoids_are_enumerated(m):
+    assert not proved_infinite(m)
+    assert len(FiniteMonoid(m)) == len(enumerate_all(m))
+
+
+def test_finite_rewriting_monoid_beyond_the_probe_goes_to_evidence():
+    # Z5 is finite, so only the probe cap can send it to evidence mode
+    m = RewritingMonoid(RewritingSystem(("a",), [("aaaaa", "")]))
+    assert not proved_infinite(m)
+    assert check_schutz_action(m, radius=4, probe_cap=4).exact is False
+    assert check_schutz_action(m, radius=4, probe_cap=5).exact is True
+    with pytest.raises(NotFinite) as info:
+        FiniteMonoid(m, cap=4)
+    assert not isinstance(info.value, ProvedInfinite)

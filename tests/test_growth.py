@@ -7,12 +7,15 @@ Closed forms used as oracles:
   bicyclic            g(m) = (m+1)(m+2)/2
 """
 
+import itertools
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import free_comm_system
-from semigeom import catalog
+from semigeom import catalog, growth
 from semigeom.errors import CapExceeded
 from semigeom.growth import (
     EndsProfile,
@@ -30,7 +33,13 @@ from semigeom.growth import (
     ends_profile,
     growth_sequence,
 )
-from semigeom.monoids import RewritingMonoid, enumerate_out_ball
+from semigeom.monoids import (
+    RewritingMonoid,
+    enumerate_all,
+    enumerate_out_ball,
+    proved_infinite,
+)
+from semigeom.rewriting import LeftSideAutomaton, RewritingSystem
 
 
 def free2_formula(window):
@@ -348,3 +357,163 @@ def test_ends_makes_one_product_per_slot():
     ends_profile(m, 4, 8)
     # the radius-8 ball of free-comm3 has C(11, 3) = 165 elements
     assert len(products) == 165 * 3 == len(set(products))
+
+
+# -- counted growth of rewriting monoids against enumeration -----------------------
+
+
+def rewriting(alphabet, rules, extra=()):
+    return RewritingMonoid(RewritingSystem(alphabet, rules), extra)
+
+
+def enumerated_growth(m, mmax, cap=10**6):
+    """Ball sizes from the breadth-first enumeration alone."""
+    spheres = [0] * (mmax + 1)
+    for le in enumerate_out_ball(m, mmax, cap):
+        spheres[le.length] += 1
+    return tuple(itertools.accumulate(spheres))
+
+
+def no_enumeration(*args, **kwargs):
+    raise AssertionError("growth of a rewriting monoid was enumerated")
+
+
+# the catalog's rewriting monoids and the seven benchmark systems; each
+# window is 12 unless the ball would pass 20,000 elements
+COUNTED = [(name, 12) for name in ("bicyclic", "free1", "free2", "free-comm1",
+                                   "free-comm2", "free-comm3", "integers")]
+COUNTED += [("free-comm4", 12), ("free-comm6", 10), ("free-comm10", 7)]
+
+
+def counted_monoid(name):
+    if name.startswith("free-comm") and name not in catalog.names():
+        return RewritingMonoid(free_comm_system(int(name[len("free-comm"):])))
+    return catalog.monoid(name)
+
+
+@pytest.mark.parametrize("name, mmax", COUNTED, ids=[n for n, _ in COUNTED])
+def test_growth_counts_match_enumeration(monkeypatch, name, mmax):
+    m = counted_monoid(name)
+    expected = enumerated_growth(m, mmax)
+    monkeypatch.setattr(growth, "enumerate_out_ball", no_enumeration)
+    assert growth_sequence(m, mmax).values == expected
+
+
+FINITE_SYSTEMS = [
+    (("a",), [("aaa", "")]),                          # Z3
+    (("a",), [("aa", "a")]),                          # {1, a}
+    (("a", "b"), [("aa", "a"), ("bb", "b"), ("ab", "a"), ("ba", "b")]),
+    (("a", "b"), [("b", "a"), ("aa", "")]),           # Z2, b a second name of a
+    (("a", "b"), [("aa", ""), ("bb", ""), ("bab", "aba")]),  # S3
+]
+
+
+@pytest.mark.parametrize("alphabet, rules", FINITE_SYSTEMS)
+def test_finite_rewriting_monoids_are_counted_and_decided(monkeypatch, alphabet, rules):
+    m = rewriting(alphabet, rules)
+    elements = enumerate_all(m)
+    assert elements is not None
+    expected = enumerated_growth(m, 12)
+    assert expected[-1] == len(elements)
+    assert not proved_infinite(m)
+    monkeypatch.setattr(growth, "enumerate_out_ball", no_enumeration)
+    assert growth_sequence(m, 12).values == expected
+
+
+@pytest.mark.parametrize("name", ["bicyclic", "free1", "free2", "free-comm1",
+                                  "free-comm2", "free-comm3", "integers"])
+def test_infinite_rewriting_monoids_are_proved_infinite(name):
+    m = catalog.monoid(name)
+    assert proved_infinite(m)
+    assert enumerate_all(m, 2000) is None
+
+
+SMALL = ("a", "b", "c")
+
+
+@st.composite
+def complete_systems(draw):
+    """Complete shortlex systems over 1-3 letters with left sides of up to
+    3 letters."""
+    alphabet = SMALL[: draw(st.integers(1, 3))]
+    words = st.lists(st.sampled_from(alphabet), max_size=3).map("".join)
+    rules = []
+    for u, v in draw(st.lists(st.tuples(words, words), max_size=4)):
+        if u != v:
+            # ranks follow string order on this alphabet
+            rules.append((u, v) if (len(v), v) < (len(u), u) else (v, u))
+    system = RewritingSystem(alphabet, rules)
+    assume(system.is_complete)
+    return system
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(complete_systems())
+def test_growth_counts_match_enumeration_on_drawn_systems(system):
+    m = RewritingMonoid(system)
+    assert growth_sequence(m, 7).values == enumerated_growth(m, 7)
+    # drawn finite monoids have at most a few elements, far below the cap
+    elements = enumerate_all(m, 500)
+    assert proved_infinite(m) == (elements is None)
+    if elements is not None:
+        assert growth_sequence(m, 30).values[-1] == len(elements)
+
+
+@pytest.mark.parametrize("name, mmax", [("free2", 6), ("bicyclic", 8), ("integers", 9),
+                                        ("free-comm3", 5), ("t3", 4), ("free2 x z2", 3)])
+def test_growth_cap_is_exceeded_exactly_when_the_ball_passes_it(name, mmax):
+    if " x " in name:
+        m = catalog.product(*name.split(" x "))
+    else:
+        m = catalog.monoid(name)
+    size = len(enumerate_out_ball(m, mmax))
+    for cap in range(0, size + 2):
+        try:
+            enumerate_out_ball(m, mmax, cap)
+            enumerated = False
+        except CapExceeded:
+            enumerated = True
+        try:
+            g = growth_sequence(m, mmax, cap)
+            counted = False
+        except CapExceeded as e:
+            assert e.cap == cap
+            counted = True
+        assert counted == enumerated, cap
+        if cap >= 1:
+            assert counted == (size > cap), cap
+        if not counted:
+            assert g[mmax] == size
+
+
+def test_growth_cap_of_zero_allows_the_identity():
+    assert growth_sequence(catalog.monoid("free2"), 0, cap=0).values == (1,)
+    assert growth_sequence(rewriting(("a",), [("a", "")]), 5, cap=0).values == (1,) * 6
+    with pytest.raises(CapExceeded):
+        growth_sequence(catalog.monoid("free2"), 1, cap=0)
+
+
+def test_huge_window_on_a_finite_system_stops_counting(monkeypatch):
+    automaton = LeftSideAutomaton(RewritingSystem(("a",), [("aaa", "")]))
+    assert list(automaton.counts()) == [1, 1, 1]
+    monkeypatch.setattr(growth, "enumerate_out_ball", no_enumeration)
+    g = growth_sequence(rewriting(("a",), [("aaa", "")]), 10**6, cap=3)
+    assert g.window == 10**6
+    assert g.values[:4] == (1, 2, 3, 3) and g[10**6] == 3
+
+
+def test_extra_generators_are_enumerated(monkeypatch):
+    m = rewriting(("a", "b"), [("ba", "ab")], extra=[("c", "ab")])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return enumerate_out_ball(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "enumerate_out_ball", counted)
+    g = growth_sequence(m, 6)
+    assert calls == [6]
+    assert g.values == enumerated_growth(m, 6)
+    # the extra generator ab shortens words, so word length is not
+    # normal-form length
+    assert g.values != comm_formula(2, 6).values

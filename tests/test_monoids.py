@@ -116,6 +116,10 @@ def test_transformation_names():
     assert m.element_name(m.multiply(s, t)) == "021"
     assert m.parse_element("021") == m.multiply(s, t)
     assert m.parse_element("(0,2,1)") == m.multiply(s, t)
+    assert m.parse_element("[0, 2, 1]") == m.multiply(s, t)
+    for bad in ("333", "zz", "01", "0123", "0,1,-1", "(0,1,3)", ""):
+        with pytest.raises(ValueError, match="is not a list of 3 images in 0..2"):
+            m.parse_element(bad)
 
 
 def test_table_names():

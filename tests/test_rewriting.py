@@ -20,6 +20,7 @@ from semigeom.rewriting import (
     EMPTY,
     UNVERIFIED,
     ConfluenceFailure,
+    LeftSideAutomaton,
     RewritingSystem,
     format_word,
     parse_word,
@@ -301,3 +302,172 @@ def test_normal_product_on_drawn_systems(system):
     for u in nfs:
         for v in nfs:
             assert system.normal_product(u, v) == system.normalize(u + v), (system, u, v)
+
+
+# -- critical pairs by index against the pairwise scan ----------------------------
+
+
+def reference_critical_pairs(system):
+    """The pairwise scan: for every ordered pair of rules, proper overlaps
+    by length, then containments by position."""
+    pairs = []
+    rules = system.rules
+    for i, ri in enumerate(rules):
+        for j, rj in enumerate(rules):
+            li, lj = ri.lhs, rj.lhs
+            for k in range(1, min(len(li), len(lj))):
+                if li[len(li) - k :] == lj[:k]:
+                    pairs.append((li + lj[k:], ri.rhs + lj[k:], li[: len(li) - k] + rj.rhs))
+            for p in range(0, len(li) - len(lj) + 1):
+                if li[p : p + len(lj)] == lj:
+                    if i == j and len(li) == len(lj):
+                        continue
+                    pairs.append((li, ri.rhs, li[:p] + rj.rhs + li[p + len(lj) :]))
+    return pairs
+
+
+def reference_check_complete(system):
+    for peak, red1, red2 in reference_critical_pairs(system):
+        nf1 = system.normalize(red1)
+        nf2 = system.normalize(red2)
+        if nf1 != nf2:
+            return ConfluenceFailure(peak, nf1, nf2)
+    return None
+
+
+def shortlex_oriented(alphabet, pairs):
+    """Each pair of distinct words as a rule from the larger to the
+    smaller in the shortlex order of the alphabet."""
+    rank = {a: i for i, a in enumerate(alphabet)}
+
+    def key(w):
+        return (len(w), [rank[s] for s in w])
+
+    return [(u, v) if key(v) < key(u) else (v, u) for u, v in pairs if u != v]
+
+
+@st.composite
+def rule_sets(draw):
+    """Shortlex-reducing rule sets, mostly not complete, with single-letter
+    and repeated left sides, over single- or multi-character symbols."""
+    alphabet = draw(st.sampled_from([("a",), ("a", "b"), SMALL_ALPHABET, ("g1", "g2", "h")]))
+    words = st.lists(st.sampled_from(alphabet), max_size=3).map(tuple)
+    rules = shortlex_oriented(alphabet, draw(st.lists(st.tuples(words, words), max_size=7)))
+    if rules and draw(st.booleans()):
+        # a second rule with the first rule's left side
+        lhs = rules[0][0]
+        smaller = [w for w in all_words(alphabet, len(lhs))
+                   if shortlex_oriented(alphabet, [(w, lhs)]) == [(lhs, w)]]
+        rules.append((lhs, draw(st.sampled_from(smaller))))
+    return RewritingSystem(alphabet, rules, verify=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rule_sets())
+def test_critical_pairs_match_pairwise_scan(system):
+    assert system.critical_pairs() == reference_critical_pairs(system)
+    assert system.check_complete() == reference_check_complete(system)
+
+
+def test_critical_pairs_match_pairwise_scan_on_long_left_sides():
+    # left sides up to 6 symbols, so one rule holds several others
+    rng = random.Random(3390)
+    for _ in range(400):
+        alphabet = SMALL_ALPHABET[: rng.randint(1, 3)]
+        pairs = [(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6))),
+                  tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 4))))
+                 for _ in range(rng.randint(0, 6))]
+        system = RewritingSystem(alphabet, shortlex_oriented(alphabet, pairs), verify=False)
+        assert system.critical_pairs() == reference_critical_pairs(system), system
+        assert system.check_complete() == reference_check_complete(system), system
+
+
+@pytest.mark.parametrize(
+    "system",
+    [comm2(), bicyclic(), integers(), rejected_ab(), rejected_same_last(),
+     free_comm_system(10)],
+    ids=["comm2", "bicyclic", "integers", "rejected-ab", "rejected-same-last",
+         "free-comm10"],
+)
+def test_critical_pairs_match_pairwise_scan_on_fixed_systems(system):
+    assert system.critical_pairs() == reference_critical_pairs(system)
+    assert system.check_complete() == reference_check_complete(system)
+
+
+# -- the left-side automaton ----------------------------------------------------------
+
+
+def irreducible(system, word):
+    return not any(
+        word[p : p + len(r.lhs)] == r.lhs
+        for r in system.rules
+        for p in range(len(word) - len(r.lhs) + 1)
+    )
+
+
+def reads(automaton, system, word):
+    """True when the automaton reads the whole word from state 0."""
+    rank = {a: i for i, a in enumerate(system.alphabet)}
+    state = 0
+    for sym in word:
+        state = automaton.delta[state][rank[sym]]
+        if state < 0:
+            return False
+    return True
+
+
+def has_irreducible_word_of_length(system, n):
+    """Depth-first search for one irreducible word of length n; every
+    prefix of an irreducible word is irreducible, so only those extend."""
+    stack = [()]
+    while stack:
+        word = stack.pop()
+        if len(word) == n:
+            return True
+        for sym in system.alphabet:
+            longer = word + (sym,)
+            if irreducible(system, longer):
+                stack.append(longer)
+    return False
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rule_sets())
+def test_automaton_reads_exactly_the_irreducible_words(system):
+    automaton = LeftSideAutomaton(system)
+    brute = [0] * 6
+    for w in all_words(system.alphabet, 5):
+        assert reads(automaton, system, w) == irreducible(system, w), (system, w)
+        brute[len(w)] += irreducible(system, w)
+    counts = list(itertools.islice(automaton.counts(), 6))
+    assert counts + [0] * (6 - len(counts)) == brute
+    assert all(counts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rule_sets())
+def test_automaton_finiteness_matches_a_long_irreducible_word(system):
+    # a factor-closed language is infinite exactly when it has a word as
+    # long as the automaton has states, the trie of the left sides
+    states = 1 + sum(len(r.lhs) for r in system.rules)
+    finite = LeftSideAutomaton(system).is_finite()
+    assert finite == (not has_irreducible_word_of_length(system, states)), system
+    if finite:
+        counts = list(LeftSideAutomaton(system).counts())
+        assert sum(counts) == sum(
+            irreducible(system, w) for w in all_words(system.alphabet, len(counts))
+        )
+
+
+def test_automaton_of_free_and_finite_systems():
+    free = LeftSideAutomaton(RewritingSystem(("a", "b"), []))
+    assert free.delta == [[0, 0]]
+    assert not free.is_finite()
+    assert list(itertools.islice(free.counts(), 5)) == [1, 2, 4, 8, 16]
+    z3 = LeftSideAutomaton(RewritingSystem(("a",), [("aaa", "")]))
+    assert z3.is_finite()
+    assert list(z3.counts()) == [1, 1, 1]
+    # a letter that is itself a left side is never read
+    collapsed = LeftSideAutomaton(RewritingSystem(("a", "b"), [("b", "a")]))
+    assert not collapsed.is_finite()
+    assert list(itertools.islice(collapsed.counts(), 4)) == [1, 1, 1, 1]
