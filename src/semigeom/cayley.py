@@ -242,16 +242,24 @@ class SccResult:
         self.succ = succ
 
 
-def strongly_connected_components(ball):
-    """Tarjan's algorithm, iterative to keep large balls off the stack."""
-    n = len(ball.vertices)
+def tarjan(adj):
+    """Strongly connected components of a digraph given by successor lists.
+
+    Tarjan's algorithm, iterative to keep large graphs off the stack.
+    Returns (components, comp_of, succ, finished): components are sorted
+    vertex lists ordered by least vertex; comp_of[v] is the component of
+    v; succ is the condensation (succ[c] holds the components other than c
+    that an edge from c enters); finished lists the components in the
+    order the search completed them, each after every component it reaches.
+    """
+    n = len(adj)
     index_of = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack = []
     comp_of = [-1] * n
     components = []
-    counter = [0]
+    counter = 0
 
     for root in range(n):
         if index_of[root] >= 0:
@@ -260,14 +268,14 @@ def strongly_connected_components(ball):
         while work:
             v, pi = work[-1]
             if pi == 0:
-                index_of[v] = low[v] = counter[0]
-                counter[0] += 1
+                index_of[v] = low[v] = counter
+                counter += 1
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            adj = ball.out_adj[v]
-            while pi < len(adj):
-                w = adj[pi]
+            out = adj[v]
+            while pi < len(out):
+                w = out[pi]
                 pi += 1
                 if index_of[w] < 0:
                     work[-1] = (v, pi)
@@ -294,7 +302,7 @@ def strongly_connected_components(ball):
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
 
-    # renumber components by their first vertex for a stable order
+    # renumber components by their least vertex for a stable order
     k = len(components)
     order = sorted(range(k), key=lambda c: components[c][0])
     renum = [0] * k
@@ -302,20 +310,24 @@ def strongly_connected_components(ball):
         renum[old] = new
     comp_of = [renum[c] for c in comp_of]
     succ = [set() for _ in range(k)]
-    for u, v, _label in ball.edges:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv:
-            succ[cu].add(cv)
+    for u, out in enumerate(adj):
+        cu = comp_of[u]
+        for v in out:
+            cv = comp_of[v]
+            if cu != cv:
+                succ[cu].add(cv)
+    return [components[old] for old in order], comp_of, succ, renum
 
-    # verified: every vertex in the component's forward closure is complete.
-    # Tarjan emits a component after every component it reaches, so in
-    # emission order each successor is already decided.
-    verified = [None] * k
-    for old, comp in enumerate(components):
-        c = renum[old]
-        verified[c] = (all(map(ball.complete.__getitem__, comp))
+
+def strongly_connected_components(ball):
+    """The ball digraph's components (see tarjan), each verified or not."""
+    components, comp_of, succ, finished = tarjan(ball.out_adj)
+    # verified: every vertex in the component's forward closure is complete;
+    # in finishing order each successor is already decided
+    verified = [None] * len(components)
+    for c in finished:
+        verified[c] = (all(map(ball.complete.__getitem__, components[c]))
                        and all(verified[t] for t in succ[c]))
-    components = [components[old] for old in order]
     return SccResult(components, verified, comp_of, succ)
 
 

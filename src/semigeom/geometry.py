@@ -32,7 +32,7 @@ from math import lcm
 from operator import add, gt
 
 from . import cayley
-from .distances import INF, INFINITE, ZERO, ExtDist, beyond, finite, scaled_rows
+from .distances import INF, INFINITE, ExtDist, beyond, finite, scaled_rows
 from .errors import (
     CapExceeded,
     InvalidSpace,
@@ -516,29 +516,41 @@ def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
 
 def monoid_space(fm):
     """The whole finite monoid as a space under right Cayley distances."""
-    succ = [[row[g] for g in fm.gen_indices] for row in fm.table]
-    matrix = []
-    for s in range(len(fm)):
-        depth = cayley.bfs(succ, s)[0]
-        matrix.append([finite(d) if d >= 0 else INFINITE for d in depth])
-    return Space(fm.names, matrix)
+    depths = [cayley.bfs(fm.right, s)[0] for s in range(len(fm))]
+    # one entry per distinct depth; index -1 (unreached) is the last slot
+    lookup = [finite(d) for d in range(max(map(max, depths)) + 1)] + [INFINITE]
+    return Space(fm.names, [list(map(lookup.__getitem__, row)) for row in depths])
 
 
 def is_congruence(fm, class_of):
     """None when the partition respects products; else a witness
-    (x, y, x2, y2) of classwise-equal pairs with differing product class."""
+    (x, y, x2, y2) of classwise-equal pairs with differing product class,
+    the first in x-major order over all pairs."""
+    # a partition is a congruence exactly when each element's generator
+    # translations, on both sides, land in the classes of its class's
+    # first member's translations
+    first = {}
+    for x, c in enumerate(class_of):
+        f = first.setdefault(c, x)
+        for rows in (fm.right, fm.left):
+            if any(class_of[a] != class_of[b] for a, b in zip(rows[x], rows[f])):
+                return _congruence_witness(fm, class_of)
+    return None
+
+
+def _congruence_witness(fm, class_of):
     n = len(fm)
     rep = {}
     for x in range(n):
         for y in range(n):
             key = (class_of[x], class_of[y])
-            c = class_of[fm.table[x][y]]
+            c = class_of[fm.product(x, y)]
             prev = rep.get(key)
             if prev is None:
                 rep[key] = (x, y, c)
             elif prev[2] != c:
                 return (prev[0], prev[1], x, y)
-    return None
+    raise AssertionError("generator translations disagree but no pair does")
 
 
 @dataclass
@@ -576,19 +588,14 @@ def check_quotient_qi(fm, class_of):
     phi = tuple(cid[c] for c in class_of)
 
     source = monoid_space(fm)
-    r_bound = ZERO
-    for members in ordered:
-        for x in members:
-            for y in members:
-                d = source.dist[x][y]
-                if d.is_infinite():
-                    r_bound = INFINITE
-                elif r_bound.is_finite() and d.value > r_bound.value:
-                    r_bound = d
+    # word distances are integers: the decoded rows are on scale 1
+    rows = source.dist.decoded[1]
+    worst = max(rows[x][y] for members in ordered for x in members for y in members)
+    r_bound = INFINITE if worst == INF else finite(worst)
 
     names = [fm.names[members[0]] for members in ordered]
     table = [
-        [phi[fm.table[a[0]][b[0]]] for b in ordered]
+        [phi[fm.product(a[0], b[0])] for b in ordered]
         for a in ordered
     ]
     gen_names = []

@@ -1,11 +1,14 @@
 """Green's relations, Schutzenberger groups, and action checks.
 
 Everything here that claims exactness requires a finite monoid: the
-FiniteMonoid view enumerates all elements and stores an integer
-multiplication table, after which the R/L/H partitions are brute-force
-ideal comparisons.  The Schutzenberger group of an H-class H is the left
-stabilizer {s : sH = H} quotiented by the kernel of its action on H, so
-group elements are literally permutations of H.
+FiniteMonoid view enumerates all elements and records each element's
+products by the generators on either side.  Green's relations then come
+from the two Cayley graphs (Froidure & Pin 1997): the R-classes are the
+strongly connected components of the right Cayley graph, the L-classes
+those of the left one, the H-classes their intersections, and the R-order
+is reachability between R-classes.  The Schutzenberger group of an
+H-class H is the left stabilizer {s : sH = H} quotiented by the kernel of
+its action on H, so group elements are literally permutations of H.
 
 The action checks run the group against the induced digraph on the
 R-class (whose internal path distances are the true word-metric
@@ -16,6 +19,7 @@ ball shows.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import cayley
 from .errors import NotAnHClass, NotFinite, NotGenerating, ProvedInfinite
@@ -28,12 +32,15 @@ PROBE_CAP = 4096
 
 
 class FiniteMonoid:
-    """A fully enumerated monoid with an integer multiplication table.
+    """A fully enumerated monoid with its right Cayley graph.
 
     elements keep the deterministic ball-enumeration order, so index 0 is
-    the identity and indices are comparable across runs.  A monoid proved
-    infinite raises ProvedInfinite before anything is enumerated; one not
-    exhausted within the cap raises NotFinite.
+    the identity and indices are comparable across runs.  right[i][g] is
+    the index of x_i a_g for the g-th generator a_g, and left[i][g] (built
+    on first use) the index of a_g x_i; product(i, j) computes any other
+    product.  A monoid proved infinite raises ProvedInfinite before
+    anything is enumerated; one not exhausted within the cap raises
+    NotFinite.
     """
 
     def __init__(self, monoid, cap=DEFAULT_CAP):
@@ -45,17 +52,24 @@ class FiniteMonoid:
         self.monoid = monoid
         self.elements = elements
         self.names = [monoid.element_name(e) for e in elements]
-        key_index = {e.key: i for i, e in enumerate(elements)}
-        self.index = key_index
-        n = len(elements)
+        self.keys = [e.key for e in elements]
+        self.index = {k: i for i, k in enumerate(self.keys)}
         mul = monoid._mul_key
-        keys = [e.key for e in elements]
-        self.table = [
-            [key_index[mul(keys[i], keys[j])] for j in range(n)] for i in range(n)
-        ]
-        self.identity_index = key_index[monoid.identity.key]
-        self.gen_indices = [key_index[k] for k in monoid._gen_keys]
+        self.right = [[self.index[mul(k, g)] for g in monoid._gen_keys]
+                      for k in self.keys]
+        self.identity_index = self.index[monoid.identity.key]
+        self.gen_indices = [self.index[k] for k in monoid._gen_keys]
         self._green = None
+
+    @cached_property
+    def left(self):
+        mul = self.monoid._mul_key
+        return [[self.index[mul(g, k)] for g in self.monoid._gen_keys]
+                for k in self.keys]
+
+    def product(self, i, j):
+        """Index of x_i x_j."""
+        return self.index[self.monoid._mul_key(self.keys[i], self.keys[j])]
 
     def __len__(self):
         return len(self.elements)
@@ -101,19 +115,13 @@ def _partition(n, key_of):
 
 
 def green_relations(fm):
-    """Exact R, L, and H partitions by comparing principal ideals."""
-    n = len(fm)
-    table = fm.table
-    right_ideal = [frozenset(table[i]) for i in range(n)]
-    left_ideal = [frozenset(table[j][i] for j in range(n)) for i in range(n)]
-    r_classes, r_of = _partition(n, lambda i: right_ideal[i])
-    l_classes, l_of = _partition(n, lambda i: left_ideal[i])
-    h_classes, h_of = _partition(n, lambda i: (right_ideal[i], left_ideal[i]))
-    r_order = []
-    for i, ci in enumerate(r_classes):
-        for j, cj in enumerate(r_classes):
-            if i != j and right_ideal[ci[0]] <= right_ideal[cj[0]]:
-                r_order.append((i, j))
+    """Exact R, L, and H partitions from the Cayley graphs' components."""
+    r_classes, r_of, r_succ, _ = cayley.tarjan(fm.right)
+    l_classes, l_of, _, _ = cayley.tarjan(fm.left)
+    h_classes, h_of = _partition(len(fm), lambda i: (r_of[i], l_of[i]))
+    # R_i <= R_j exactly when R_j reaches R_i
+    r_order = sorted((i, j) for j in range(len(r_classes))
+                     for i in cayley.bfs(r_succ, j)[1][1:])
     return GreenStructure(r_classes, l_classes, h_classes, r_of, l_of, h_of, r_order)
 
 
@@ -166,7 +174,10 @@ def schutz_group(fm, h_class):
     seen = {}
     order = []
     for s in range(len(fm)):
-        images = [fm.table[s][h] for h in members]
+        # sH = H needs s h_0 in H; most s fail there, after one product
+        if fm.product(s, members[0]) not in hset:
+            continue
+        images = [fm.product(s, h) for h in members]
         if frozenset(images) != hset:
             continue
         perm = tuple(pos[y] for y in images)
@@ -201,14 +212,14 @@ class _RClassGeometry:
         self.vertices = list(gs.r_classes[r_index])
         self.vpos = {x: k for k, x in enumerate(self.vertices)}
         n = len(self.vertices)
-        succ = [[self.vpos[y] for y in (fm.table[x][g] for g in fm.gen_indices)
-                 if y in self.vpos] for x in self.vertices]
+        succ = [[self.vpos[y] for y in fm.right[x] if y in self.vpos]
+                for x in self.vertices]
         self.dist = [cayley.bfs(succ, s)[0] for s in range(n)]
         self.base = self.vpos[self.group.h_class[0]]
         # left multiplication by a stabilizer permutes the whole R-class
         self.vperms = []
         for rep in self.group.representatives:
-            images = [self.vpos[fm.table[rep][x]] for x in self.vertices]
+            images = [self.vpos[fm.product(rep, x)] for x in self.vertices]
             assert sorted(images) == list(range(n))
             self.vperms.append(images)
         self.h_of_vertex = [gs.h_class_of[x] for x in self.vertices]

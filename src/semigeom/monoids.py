@@ -332,7 +332,8 @@ class ProductMonoid(Monoid):
         self.left = left
         self.right = right
         self._identity_key = (left._identity_key, right._identity_key)
-        right_elements = enumerate_all(right, GROUP_PROBE_CAP)
+        right_elements = (None if proved_infinite(right)
+                          else enumerate_all(right, GROUP_PROBE_CAP))
         self.right_is_group = right_elements is not None and _is_group_elements(
             right, right_elements
         )

@@ -51,7 +51,7 @@ def orbit_partition(fm, r_class, representatives):
 
     for rep in representatives:
         for x in r_class:
-            y = fm.table[rep][x]
+            y = fm.product(rep, x)
             rx, ry = find(x), find(y)
             if rx != ry:
                 parent[rx] = ry
@@ -76,7 +76,7 @@ def test_finite_monoid_basics(t3):
     for i in (0, 3, 7, 11):
         for j in (0, 2, 9):
             prod = m.multiply(t3.elements[i], t3.elements[j])
-            assert t3.elements[t3.table[i][j]] == prod
+            assert t3.elements[t3.product(i, j)] == prod
 
 
 def test_finite_monoid_rejects_infinite():
@@ -163,7 +163,7 @@ def test_schutz_group_is_a_group(t3):
     members = g.h_class
     pos = {x: k for k, x in enumerate(members)}
     for perm, rep in zip(g.perms, g.representatives):
-        assert perm == tuple(pos[t3.table[rep][x]] for x in members)
+        assert perm == tuple(pos[t3.product(rep, x)] for x in members)
 
 
 def test_schutz_group_accepts_element_names(t3):

@@ -6,9 +6,11 @@ denominator; CayleyBall.distance_matrix builds each row from one BFS and
 distance_table formats from those rows.  The references below are the
 per-entry versions of the same functions, kept as oracles: every triple
 and every pair, in row-major order, through the ExtDist methods and
-Fraction arithmetic.  The last section keeps the separate searches that
+Fraction arithmetic.  A later section keeps the separate searches that
 cayley.bfs replaced (ball distances with parent edges, R-class distances,
-Svarc word lengths, monoid_space, the component poset) as oracles too.
+Svarc word lengths, monoid_space, the component poset) as oracles too, and
+the last one the full multiplication table that Green's relations, the
+Schutzenberger groups and the congruence test used to read.
 """
 
 import random
@@ -33,8 +35,10 @@ from semigeom.geometry import (
     Violation,
     check_axioms,
     check_product_projection_qi,
+    check_quotient_qi,
     check_qi_embedding,
     eps_grid,
+    is_congruence,
     monoid_space,
     quasi_density,
     quasi_metricity_lambda,
@@ -42,7 +46,7 @@ from semigeom.geometry import (
     symmetrize,
 )
 from semigeom.green import FiniteMonoid, svarc_milnor
-from semigeom.monoids import TransformationMonoid, enumerate_all
+from semigeom.monoids import TableMonoid, TransformationMonoid, enumerate_all
 
 # -- references ------------------------------------------------------------------
 
@@ -647,7 +651,7 @@ def reference_rclass_dist(fm, geo):
     out_adj = [[] for _ in geo.vertices]
     for k, x in enumerate(geo.vertices):
         for g in fm.gen_indices:
-            t = vpos.get(fm.table[x][g])
+            t = vpos.get(fm.product(x, g))
             if t is not None:
                 out_adj[k].append(t)
     rows = []
@@ -695,7 +699,7 @@ def reference_monoid_space_rows(fm):
             u = queue[qi]
             qi += 1
             for g in fm.gen_indices:
-                v = fm.table[u][g]
+                v = fm.product(u, g)
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     queue.append(v)
@@ -901,3 +905,197 @@ def test_projection_fibers_match_distance_loop(left, right):
         assert (report.r_bound, report.skipped_fiber_pairs) == want
         assert report.notes[0] == ("evidence at ball radius %d; %d fiber pairs undecided"
                                    % (radius, want[1]))
+
+
+# -- Green's relations without a multiplication table ---------------------------
+#
+# FiniteMonoid keeps only the generator translations on each side; the
+# references below are the full-table view it replaced: all n^2 products,
+# classes by comparing principal ideals, the stabilizer scan over table
+# rows, and the congruence test over every pair.
+
+
+class TableMonoidView:
+    """The former FiniteMonoid: every element and the full product table."""
+
+    def __init__(self, m):
+        self.keys = [e.key for e in enumerate_all(m)]
+        index = {k: i for i, k in enumerate(self.keys)}
+        self.table = [[index[m._mul_key(a, b)] for b in self.keys] for a in self.keys]
+
+
+def reference_partition(n, key_of):
+    groups = {}
+    for i in range(n):
+        groups.setdefault(key_of(i), []).append(i)
+    classes = sorted(groups.values(), key=lambda c: c[0])
+    class_of = [0] * n
+    for ci, members in enumerate(classes):
+        for i in members:
+            class_of[i] = ci
+    return classes, class_of
+
+
+def reference_green(view):
+    table = view.table
+    n = len(table)
+    right_ideal = [frozenset(table[i]) for i in range(n)]
+    left_ideal = [frozenset(table[j][i] for j in range(n)) for i in range(n)]
+    r_classes, r_of = reference_partition(n, lambda i: right_ideal[i])
+    l_classes, l_of = reference_partition(n, lambda i: left_ideal[i])
+    h_classes, h_of = reference_partition(n, lambda i: (right_ideal[i], left_ideal[i]))
+    r_order = [(i, j) for i, ci in enumerate(r_classes) for j, cj in enumerate(r_classes)
+               if i != j and right_ideal[ci[0]] <= right_ideal[cj[0]]]
+    return r_classes, l_classes, h_classes, r_of, l_of, h_of, r_order
+
+
+def reference_schutz(view, members):
+    pos = {x: k for k, x in enumerate(members)}
+    hset = frozenset(members)
+    seen = {}
+    for s, row in enumerate(view.table):
+        images = [row[h] for h in members]
+        if frozenset(images) == hset:
+            seen.setdefault(tuple(pos[y] for y in images), s)
+    return list(seen), list(seen.values())
+
+
+def reference_is_congruence(view, class_of):
+    rep = {}
+    for x, row in enumerate(view.table):
+        for y, xy in enumerate(row):
+            key = (class_of[x], class_of[y])
+            prev = rep.setdefault(key, (x, y, class_of[xy]))
+            if prev[2] != class_of[xy]:
+                return (prev[0], prev[1], x, y)
+    return None
+
+
+def rectangular_band_with_identity(rows, cols):
+    names = ["%d%d" % (i, j) for i in range(rows) for j in range(cols)]
+    table = [[names.index("%s%s" % (a[0], b[1])) for b in names] for a in names]
+    return TableMonoid.from_semigroup(names, table)
+
+
+def as_table_monoid(m):
+    view = TableMonoidView(m)
+    names = [m._key_name(k) for k in view.keys]
+    return TableMonoid(names, view.table, 0, [m._key_name(g) for g in m._gen_keys])
+
+
+GREEN_MONOIDS = FINITE + [
+    ("one-a-zero-b", lambda: catalog.monoid("one-a-zero-b")),
+    ("band-2x3", lambda: rectangular_band_with_identity(2, 3)),
+    ("z2-x-z3", lambda: catalog.product("z2", "z3")),
+    ("t2-x-z2", lambda: catalog.product("t2", "z2")),
+    ("t3-table", lambda: as_table_monoid(catalog.monoid("t3"))),
+]
+
+
+def partitions(fm, view, rng):
+    """Named partitions of fm's elements: random ones, Rees quotients by
+    the ideal of an element, kernels (by key, key component or image set)
+    and the Green partitions."""
+    n = len(fm)
+    table = view.table
+    gs = fm.green()
+    out = [("all", [0] * n), ("points", list(range(n))),
+           ("r", gs.r_class_of), ("l", gs.l_class_of), ("h", gs.h_class_of)]
+    for k in (2, 3, 5):
+        out.append(("random-%d" % k, [rng.randrange(k) for _ in range(n)]))
+    for x in sorted(rng.sample(range(n), min(n, 4))):
+        ideal = {table[table[s][x]][t] for s in range(n) for t in range(n)}
+        out.append(("rees-%d" % x, [0 if i in ideal else i + 1 for i in range(n)]))
+    for name, part in (("kernel", lambda key: tuple(sorted(
+            {tuple(i for i, y in enumerate(key) if y == v) for v in key}))),
+            ("image", lambda key: frozenset(key)),
+            ("left-factor", lambda key: key[0])):
+        try:
+            keys = [part(key) for key in view.keys]
+        except TypeError:
+            continue
+        ids = {}
+        out.append((name, [ids.setdefault(k, len(ids)) for k in keys]))
+    return out
+
+
+@pytest.mark.parametrize("name,make", GREEN_MONOIDS, ids=[g[0] for g in GREEN_MONOIDS])
+def test_green_relations_match_table_reference(name, make):
+    fm = FiniteMonoid(make())
+    view = TableMonoidView(fm.monoid)
+    assert view.keys == fm.keys
+    gs = fm.green()
+    r_classes, l_classes, h_classes, r_of, l_of, h_of, r_order = reference_green(view)
+    assert [gs.r_classes, gs.l_classes, gs.h_classes] == [r_classes, l_classes, h_classes]
+    assert [gs.r_class_of, gs.l_class_of, gs.h_class_of] == [r_of, l_of, h_of]
+    assert gs.r_order == r_order
+    for h_class in gs.h_classes:
+        group = green.schutz_group(fm, h_class)
+        assert (group.perms, group.representatives) == reference_schutz(view, h_class)
+    assert fm.right == [[row[g] for g in fm.gen_indices] for row in view.table]
+    assert fm.left == [[view.table[g][i] for g in fm.gen_indices] for i in range(len(fm))]
+
+
+@pytest.mark.parametrize("name,make", GREEN_MONOIDS, ids=[g[0] for g in GREEN_MONOIDS])
+def test_is_congruence_matches_table_reference(name, make):
+    fm = FiniteMonoid(make())
+    view = TableMonoidView(fm.monoid)
+    verdicts = Counter()
+    for label, class_of in partitions(fm, view, random.Random(name)):
+        want = reference_is_congruence(view, class_of)
+        assert is_congruence(fm, class_of) == want, label
+        verdicts[label.split("-")[0], want is None] += 1
+    # Rees quotients are congruences; the trivial partitions too
+    assert verdicts["all", True] == verdicts["points", True] == 1
+    assert verdicts["rees", False] == 0
+
+
+def test_is_congruence_draws_reach_both_verdicts():
+    seen = Counter()
+    for name, make in GREEN_MONOIDS:
+        fm = FiniteMonoid(make())
+        view = TableMonoidView(fm.monoid)
+        for label, class_of in partitions(fm, view, random.Random(name)):
+            seen[label.split("-")[0], is_congruence(fm, class_of) is None] += 1
+    for label in ("random", "kernel", "image", "r", "l", "h"):
+        assert seen[label, False] > 0, label
+    for label in ("rees", "left", "image", "kernel", "h"):
+        assert seen[label, True] > 0, label
+
+
+@pytest.mark.parametrize("name,make", GREEN_MONOIDS, ids=[g[0] for g in GREEN_MONOIDS])
+def test_quotient_matches_table_reference(name, make):
+    fm = FiniteMonoid(make())
+    view = TableMonoidView(fm.monoid)
+    source = monoid_space(fm)
+    for label, class_of in partitions(fm, view, random.Random(name)):
+        # the quotient table's associativity check is cubic in the classes
+        if len(set(class_of)) > 64 or reference_is_congruence(view, class_of) is not None:
+            continue
+        report = check_quotient_qi(fm, class_of)
+        ordered = sorted({c: [i for i in range(len(fm)) if class_of[i] == c]
+                          for c in class_of}.values())
+        r_bound = ZERO
+        for members in ordered:
+            for x in members:
+                for y in members:
+                    d = source.dist[x][y]
+                    if d.is_infinite():
+                        r_bound = INFINITE
+                    elif r_bound.is_finite() and d.value > r_bound.value:
+                        r_bound = d
+        assert report.r_bound == r_bound, label
+        assert report.classes == [[fm.names[i] for i in members] for members in ordered]
+
+
+def test_green_of_t5_makes_few_products():
+    m = TransformationMonoid(5, [("s", [1, 2, 3, 4, 0]), ("t", [1, 0, 2, 3, 4]),
+                                 ("e", [0, 0, 2, 3, 4])])
+    products = counting_products(m)
+    fm = FiniteMonoid(m)
+    gs = fm.green()
+    # enumeration, then the right and the left translations: 3 * 3125 * 3
+    # (the full table made 3125^2)
+    assert len(products) <= 30000
+    assert [len(fm), len(gs.r_classes), len(gs.l_classes), len(gs.h_classes)] == [
+        3125, 52, 31, 456]

@@ -298,6 +298,32 @@ def test_product_union_flavor_generators():
     assert "(1,ss)" in names
 
 
+def counted_products(*factors):
+    """Wrap each factor's _mul_key to record its calls in one list."""
+    calls = []
+    for m in factors:
+        mul = m._mul_key
+
+        def counted(a, b, mul=mul):
+            calls.append((a, b))
+            return mul(a, b)
+
+        m._mul_key = counted
+    return calls
+
+
+@pytest.mark.parametrize("left,right,products", [
+    ("z2", "bicyclic", 0), ("z2", "free2", 0), ("z2", "z3", 12), ("z2", "t2", 17)])
+def test_product_probes_only_a_factor_not_proved_infinite(left, right, products):
+    # a right factor proved infinite is not a finite group: no probe (the
+    # probe made 8,013 products for bicyclic); finite ones still probe
+    lm, rm = catalog.monoid(left), catalog.monoid(right)
+    calls = counted_products(lm, rm)
+    m = ProductMonoid(lm, rm)
+    assert len(calls) == products
+    assert m.right_is_group == (right == "z3")
+
+
 def test_product_multiplication_is_componentwise():
     m = catalog.product("bicyclic", "z2")
     x = m.parse_element("(b,1)")
