@@ -9,10 +9,12 @@ undecided.
 
 A Space's matrix is decoded once, by the first check that reads it, into
 rows of exact integers over a common denominator (see DistMatrix and
-distances.scaled_rows).  Every check compares those integers, with the
-constants brought onto the same scale by cross-multiplication; nothing
-goes through floating point and no Fraction arithmetic runs per entry.
-Fractions appear only in reported values.
+distances.scaled_rows).  A monoid space is built with its rows instead:
+its BFS depths are integers on scale 1 already, so it is never decoded.
+Every check compares those integers, with the constants brought onto the
+same scale by cross-multiplication; nothing goes through floating point
+and no Fraction arithmetic runs per entry.  Fractions appear only in
+reported values.
 
 The quasi-isometric embedding inequalities for a map f and constants
 (lambda, epsilon) are
@@ -53,11 +55,16 @@ class DistMatrix(tuple):
 
     ``decoded`` is (L, rows) with L a common denominator of the finite
     entries and rows in the encoding of distances.scaled_rows (d * L as an
-    int, infinity as INF, a stamp beyond(h) as -1 - h).
+    int, infinity as INF, a stamp beyond(h) as -1 - h).  A builder that
+    already holds those rows passes them as ``decoded`` and nothing is
+    decoded.
     """
 
-    def __new__(cls, matrix):
-        return super().__new__(cls, map(tuple, matrix))
+    def __new__(cls, matrix, decoded=None):
+        self = super().__new__(cls, map(tuple, matrix))
+        if decoded is not None:
+            self.decoded = decoded
+        return self
 
     @cached_property
     def decoded(self):
@@ -515,11 +522,16 @@ def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
 
 
 def monoid_space(fm):
-    """The whole finite monoid as a space under right Cayley distances."""
+    """The whole finite monoid as a space under right Cayley distances,
+    with the BFS depths as its decoded rows on scale 1."""
     depths = [cayley.bfs(fm.right, s)[0] for s in range(len(fm))]
     # one entry per distinct depth; index -1 (unreached) is the last slot
-    lookup = [finite(d) for d in range(max(map(max, depths)) + 1)] + [INFINITE]
-    return Space(fm.names, [list(map(lookup.__getitem__, row)) for row in depths])
+    top = max(map(max, depths)) + 1
+    lookup = [finite(d) for d in range(top)] + [INFINITE]
+    scaled = list(range(top)) + [INF]
+    dist = DistMatrix([tuple(map(lookup.__getitem__, row)) for row in depths],
+                      (1, [list(map(scaled.__getitem__, row)) for row in depths]))
+    return Space(fm.names, dist)
 
 
 def is_congruence(fm, class_of):
@@ -542,9 +554,10 @@ def _congruence_witness(fm, class_of):
     n = len(fm)
     rep = {}
     for x in range(n):
+        row = fm.row(x)
         for y in range(n):
             key = (class_of[x], class_of[y])
-            c = class_of[fm.product(x, y)]
+            c = class_of[row[y]]
             prev = rep.get(key)
             if prev is None:
                 rep[key] = (x, y, c)
@@ -590,7 +603,8 @@ def check_quotient_qi(fm, class_of):
     source = monoid_space(fm)
     # word distances are integers: the decoded rows are on scale 1
     rows = source.dist.decoded[1]
-    worst = max(rows[x][y] for members in ordered for x in members for y in members)
+    worst = max(max(map(rows[x].__getitem__, members))
+                for members in ordered for x in members)
     r_bound = INFINITE if worst == INF else finite(worst)
 
     names = [fm.names[members[0]] for members in ordered]

@@ -1,14 +1,16 @@
 """Green's relations, Schutzenberger groups, and action checks.
 
 Everything here that claims exactness requires a finite monoid: the
-FiniteMonoid view enumerates all elements and records each element's
-products by the generators on either side.  Green's relations then come
-from the two Cayley graphs (Froidure & Pin 1997): the R-classes are the
-strongly connected components of the right Cayley graph, the L-classes
-those of the left one, the H-classes their intersections, and the R-order
-is reachability between R-classes.  The Schutzenberger group of an
-H-class H is the left stabilizer {s : sH = H} quotiented by the kernel of
-its action on H, so group elements are literally permutations of H.
+FiniteMonoid view enumerates all elements in one pass that multiplies
+each element by each generator once, on the right, and derives the
+products on the left, and any other product, from words in the
+generators.  Green's relations then come from the two Cayley graphs
+(Froidure & Pin 1997): the R-classes are the strongly connected
+components of the right Cayley graph, the L-classes those of the left
+one, the H-classes their intersections, and the R-order is reachability
+between R-classes.  The Schutzenberger group of an H-class H is the left
+stabilizer {s : sH = H} quotiented by the kernel of its action on H, so
+group elements are literally permutations of H.
 
 The action checks run the group against the induced digraph on the
 R-class (whose internal path distances are the true word-metric
@@ -23,7 +25,9 @@ from functools import cached_property
 
 from . import cayley
 from .errors import NotAnHClass, NotFinite, NotGenerating, ProvedInfinite
-from .monoids import DEFAULT_CAP, enumerate_all, proved_infinite
+# enumerate_all is unused here; perfbench/selftest.py checks the tracer
+# rebinds this from-import
+from .monoids import DEFAULT_CAP, Element, enumerate_all, proved_infinite  # noqa: F401
 
 # finiteness probes stop here by default: proving a monoid finite means
 # exhausting it, which is pointlessly slow when the caller only wants an
@@ -32,47 +36,95 @@ PROBE_CAP = 4096
 
 
 class FiniteMonoid:
-    """A fully enumerated monoid with its right Cayley graph.
+    """A fully enumerated monoid with its two Cayley graphs.
 
-    elements keep the deterministic ball-enumeration order, so index 0 is
-    the identity and indices are comparable across runs.  right[i][g] is
-    the index of x_i a_g for the g-th generator a_g, and left[i][g] (built
-    on first use) the index of a_g x_i; product(i, j) computes any other
-    product.  A monoid proved infinite raises ProvedInfinite before
-    anything is enumerated; one not exhausted within the cap raises
-    NotFinite.
+    One Froidure-Pin pass enumerates the elements breadth-first from the
+    identity over the ordered generators, in the order of
+    monoids.enumerate_out_ball, so index 0 is the identity and indices are
+    comparable across runs.  The pass makes one backend product per
+    element and generator: right[i][g] is the index of x_i a_g for the
+    g-th generator a_g.  Each other element v also records its BFS parent
+    p(v) and last letter b(v), with x_v = x_p(v) a_b(v).  So left[v][g],
+    the index of a_g x_v (built on first use), is right[left[p(v)][g]][b(v)],
+    product(i, j) follows right from i along the word of j, and row(i)
+    lists x_i x_j for every j in one sweep of the same recurrence; none of
+    them multiplies in the backend.  A monoid proved infinite raises
+    ProvedInfinite before anything is enumerated; one not exhausted within
+    the cap raises NotFinite.
     """
 
     def __init__(self, monoid, cap=DEFAULT_CAP):
         if proved_infinite(monoid):
             raise ProvedInfinite("monoid is infinite")
-        elements = enumerate_all(monoid, cap)
-        if elements is None:
-            raise NotFinite("monoid not exhausted within cap %d" % cap)
-        self.monoid = monoid
-        self.elements = elements
-        self.names = [monoid.element_name(e) for e in elements]
-        self.keys = [e.key for e in elements]
-        self.index = {k: i for i, k in enumerate(self.keys)}
         mul = monoid._mul_key
-        self.right = [[self.index[mul(k, g)] for g in monoid._gen_keys]
-                      for k in self.keys]
-        self.identity_index = self.index[monoid.identity.key]
-        self.gen_indices = [self.index[k] for k in monoid._gen_keys]
+        gen_keys = monoid._gen_keys
+        keys = [monoid._identity_key]
+        index = {keys[0]: 0}
+        parent = [0]
+        last = [0]
+        right = []
+        for key in keys:
+            row = []
+            for g, gk in enumerate(gen_keys):
+                nk = mul(key, gk)
+                j = index.get(nk)
+                if j is None:
+                    if len(keys) >= cap:
+                        raise NotFinite("monoid not exhausted within cap %d" % cap)
+                    j = index[nk] = len(keys)
+                    keys.append(nk)
+                    parent.append(len(right))
+                    last.append(g)
+                row.append(j)
+            right.append(row)
+        self.monoid = monoid
+        self.keys = keys
+        self.index = index
+        self.right = right
+        self._parent = parent
+        self._last = last
+        self.names = [monoid._key_name(k) for k in keys]
+        self.identity_index = 0
+        self.gen_indices = right[0]
         self._green = None
 
     @cached_property
+    def elements(self):
+        return [Element(self.monoid, k) for k in self.keys]
+
+    @cached_property
     def left(self):
-        mul = self.monoid._mul_key
-        return [[self.index[mul(g, k)] for g in self.monoid._gen_keys]
-                for k in self.keys]
+        right = self.right
+        left = [right[0]]
+        for p, b in zip(self._parent[1:], self._last[1:]):
+            left.append([right[u][b] for u in left[p]])
+        return left
+
+    @cached_property
+    def _words(self):
+        """words[v]: the generator indices spelling x_v along BFS parents."""
+        words = [()]
+        for p, b in zip(self._parent[1:], self._last[1:]):
+            words.append(words[p] + (b,))
+        return words
 
     def product(self, i, j):
         """Index of x_i x_j."""
-        return self.index[self.monoid._mul_key(self.keys[i], self.keys[j])]
+        right = self.right
+        for g in self._words[j]:
+            i = right[i][g]
+        return i
+
+    def row(self, i):
+        """Indices of x_i x_j for every j, in index order."""
+        right = self.right
+        out = [i]
+        for p, b in zip(self._parent[1:], self._last[1:]):
+            out.append(right[out[p]][b])
+        return out
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.keys)
 
     def element_index(self, x):
         """Index of an Element, a canonical name, or an index."""

@@ -10,9 +10,10 @@ import json
 
 import pytest
 
-from semigeom import catalog, cayley, descriptions, green
+from semigeom import catalog, cayley, descriptions
 from semigeom.cli import main
 from semigeom.distances import finite
+from semigeom.monoids import RewritingMonoid
 
 
 def run(capsys, *argv):
@@ -545,6 +546,35 @@ def test_not_finite(capsys):
     assert "evidence-mode" in err
 
 
+TABLE = {"kind": "table", "elements": ["e", "a"]}
+TRANSFORMATION = {"kind": "transformation", "degree": 2}
+
+
+@pytest.mark.parametrize("desc, reason", [
+    (dict(TABLE, table=[["e", "a"], ["a", 1.5]]),
+     "table entry 1.5 is neither a name nor an index"),
+    (dict(TABLE, table=[["e", "a"], ["a", True]]),
+     "table entry True is neither a name nor an index"),
+    (dict(TABLE, table=[[0, 1], 5]), "table row 5 is not a list"),
+    (dict(TABLE, table=[["a"]]), "table must be 2 x 2"),
+    (dict(TRANSFORMATION, generators=[["a", [1.7, 0]]]),
+     "generator 'a' has bad image list [1.7, 0]"),
+    (dict(TRANSFORMATION, generators=[["a", [True, 0]]]),
+     "generator 'a' has bad image list [True, 0]"),
+    (dict(TRANSFORMATION, generators=[["a", 5]]), "generator 'a' has bad image list 5"),
+    (dict(TRANSFORMATION, generators=[5]), "generator 5 is not a (symbol, images) pair"),
+    (dict(TRANSFORMATION, degree=2.5, generators=[]), "degree 2.5 is not an integer"),
+], ids=["table-float", "table-bool", "table-row", "table-shape", "image-float",
+        "image-bool", "image-list", "generator-pair", "degree-float"])
+def test_bad_monoid_descriptions_exit_2(capsys, tmp_path, desc, reason):
+    # each was once truncated to an int or ended in a TypeError
+    path = write_json(tmp_path, "bad.monoid", desc)
+    code, out, err = run(capsys, "green", "--monoid", path)
+    assert code == 2 and out == ""
+    assert ("error: %s\n" % reason) in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "bogus")
     assert code == 2
@@ -697,7 +727,7 @@ def test_proved_infinite_monoids_fail_at_once(capsys, monkeypatch, tmp_path, mon
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a proved-infinite monoid was enumerated")
 
-    monkeypatch.setattr(green, "enumerate_all", no_enumeration)
+    monkeypatch.setattr(RewritingMonoid, "_mul_key", no_enumeration)
     argv = [command, "--monoid", monoid]
     if command == "quotient":
         argv += ["--classes", write_json(tmp_path, "c.json", [["ε"]])]

@@ -304,9 +304,10 @@ def no_enumeration(*args, **kwargs):
 ], ids=["free2", "bicyclic", "integers", "free2-x-z2", "z2-x-bicyclic"])
 def test_finite_monoid_refuses_proved_infinite_without_enumerating(monkeypatch, m):
     assert proved_infinite(m)
-    monkeypatch.setattr(green, "enumerate_all", no_enumeration)
+    monkeypatch.setattr(m, "_mul_key", no_enumeration)
     with pytest.raises(ProvedInfinite, match="infinite"):
         FiniteMonoid(m)
+    monkeypatch.undo()
     report = check_schutz_action(m, radius=3)
     assert not report.exact
 

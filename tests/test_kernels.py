@@ -8,9 +8,11 @@ per-entry versions of the same functions, kept as oracles: every triple
 and every pair, in row-major order, through the ExtDist methods and
 Fraction arithmetic.  A later section keeps the separate searches that
 cayley.bfs replaced (ball distances with parent edges, R-class distances,
-Svarc word lengths, monoid_space, the component poset) as oracles too, and
-the last one the full multiplication table that Green's relations, the
-Schutzenberger groups and the congruence test used to read.
+Svarc word lengths, monoid_space, the component poset) as oracles too,
+the next one the full multiplication table that Green's relations, the
+Schutzenberger groups and the congruence test used to read, and the last
+one the backend products that FiniteMonoid now derives from words and the
+exhaustive associativity scan that Light's test replaced.
 """
 
 import random
@@ -18,11 +20,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_transformation_monoid
-from semigeom import catalog, cayley, green
+from semigeom import catalog, cayley, green, monoids
 from semigeom.cayley import build_cayley_ball, distance_table
 from semigeom.distances import INFINITE, ZERO, beyond, finite
 from semigeom.errors import CapExceeded, NotFinite, NotGenerating, NotStronglyConnected
@@ -1069,8 +1071,7 @@ def test_quotient_matches_table_reference(name, make):
     view = TableMonoidView(fm.monoid)
     source = monoid_space(fm)
     for label, class_of in partitions(fm, view, random.Random(name)):
-        # the quotient table's associativity check is cubic in the classes
-        if len(set(class_of)) > 64 or reference_is_congruence(view, class_of) is not None:
+        if reference_is_congruence(view, class_of) is not None:
             continue
         report = check_quotient_qi(fm, class_of)
         ordered = sorted({c: [i for i in range(len(fm)) if class_of[i] == c]
@@ -1094,8 +1095,126 @@ def test_green_of_t5_makes_few_products():
     products = counting_products(m)
     fm = FiniteMonoid(m)
     gs = fm.green()
-    # enumeration, then the right and the left translations: 3 * 3125 * 3
-    # (the full table made 3125^2)
-    assert len(products) <= 30000
+    # one product per element and generator: the left translations and
+    # every other product follow the right ones along words
+    assert len(products) == 3125 * 3
     assert [len(fm), len(gs.r_classes), len(gs.l_classes), len(gs.h_classes)] == [
         3125, 52, 31, 456]
+
+
+# -- one Froidure-Pin pass ----------------------------------------------------------
+#
+# FiniteMonoid multiplies in the backend once per element and generator;
+# the left translations and every other product follow the right
+# translations along words.  The references are the backend products
+# themselves and the enumeration order of enumerate_all.
+
+
+def assert_pass_matches_backend(m):
+    fm = FiniteMonoid(m)
+    keys = [e.key for e in enumerate_all(m)]
+    assert fm.keys == keys
+    assert fm.names == [m.element_name(e) for e in fm.elements]
+    mul, gens, index = m._mul_key, m._gen_keys, fm.index
+    assert fm.gen_indices == [index[g] for g in gens]
+    assert fm.right == [[index[mul(k, g)] for g in gens] for k in keys]
+    assert fm.left == [[index[mul(g, k)] for g in gens] for k in keys]
+    for i, a in enumerate(keys):
+        want = [index[mul(a, b)] for b in keys]
+        assert [fm.product(i, j) for j in range(len(keys))] == want
+        assert fm.row(i) == want
+
+
+@st.composite
+def transformation_monoids(draw):
+    degree = draw(st.integers(3, 5))
+    images = st.lists(st.integers(0, degree - 1), min_size=degree, max_size=degree)
+    gens = [("g%d" % i, draw(images)) for i in range(draw(st.integers(2, 3)))]
+    return TransformationMonoid(degree, gens)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transformation_monoids())
+def test_froidure_pin_pass_matches_backend(m):
+    # every pair is checked, so the few monoids near T5's size are skipped
+    assume(enumerate_all(m, 400) is not None)
+    assert_pass_matches_backend(m)
+
+
+@pytest.mark.parametrize("name,make", GREEN_MONOIDS, ids=[g[0] for g in GREEN_MONOIDS])
+def test_froidure_pin_pass_matches_backend_on_green_monoids(name, make):
+    assert_pass_matches_backend(make())
+
+
+def reference_table_check(names, table, e):
+    """The load-time check before Light's test: the first failing triple
+    of the exhaustive scan, then the identity law."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return "table is not associative at (%s, %s, %s)" % (
+                        names[i], names[j], names[k])
+    if any(table[e][j] != j or table[j][e] != j for j in range(n)):
+        return "%r is not a two-sided identity" % names[e]
+    return None
+
+
+def random_tables(rng, count):
+    """(names, table, identity) of random finite monoids, relabelled by a
+    random permutation, and of copies with one entry changed."""
+    for _ in range(count):
+        view = TableMonoidView(rand_transformation_monoid(rng, max_degree=3))
+        n = len(view.keys)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[perm[a]][perm[b]] = perm[view.table[a][b]]
+        names = ["x%d" % i for i in range(n)]
+        yield names, table, perm[0]
+        i, j = rng.randrange(n), rng.randrange(n)
+        changed = [list(row) for row in table]
+        changed[i][j] = rng.choice([v for v in range(n) if v != table[i][j]] or [0])
+        yield names, changed, perm[0]
+
+
+def test_light_test_matches_cubic_scan():
+    verdicts = Counter()
+    for names, table, e in random_tables(random.Random(7), 150):
+        want = reference_table_check(names, table, e)
+        try:
+            TableMonoid(names, table, e)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+        verdicts["ok" if want is None else "identity" if "identity" in want
+                 else "associativity"] += 1
+        if want is None:
+            # the test set generates the table: everything is reached from
+            # the identity by right multiplications with it
+            taken = monoids._generating_set(table, e)
+            reached = cayley.bfs([[row[t] for t in taken] for row in table], e)[1]
+            assert sorted(reached) == list(range(len(table)))
+    assert verdicts["ok"] and verdicts["identity"] and verdicts["associativity"]
+
+
+def test_light_test_needs_the_identity_law():
+    # 0 is no identity here, so what it reaches with the elements taken
+    # misses products of the table, and Light's test over them passes
+    names, table = ["e", "a", "b"], [[0, 0, 0], [1, 1, 1], [2, 1, 1]]
+    assert monoids._light_test(table, monoids._generating_set(table, 0))
+    with pytest.raises(ValueError) as err:
+        TableMonoid(names, table, 0)
+    assert str(err.value) == reference_table_check(names, table, 0)
+    assert "not associative" in str(err.value)
+
+
+@pytest.mark.parametrize("name,make", FINITE[:2], ids=[f[0] for f in FINITE[:2]])
+def test_light_test_set_is_the_generators(name, make):
+    # in BFS order T3's and T4's three generators come first and generate
+    # the rest
+    assert monoids._generating_set(as_table_monoid(make()).table, 0) == [1, 2, 3]
