@@ -6,8 +6,11 @@ right (or left) Cayley graph, stored as an explicit labelled digraph.  Path
 distances inside the ball are exact values of the ball digraph; they carry
 the ball radius as a horizon: a shortest in-ball path longer than the
 radius, or a missing path that might re-enter from outside, is reported as
-ExceedsHorizon rather than a guessed number.  Infinity is only reported
+a horizon stamp rather than a guessed number.  Infinity is only reported
 when the forward-reachable set of the source is fully explored.
+CayleyBall.distance gives one such value as an ExtDist; distance_rows
+writes all of them as integer rows straight from the BFS depths, and
+distance_table and geometry.space_from_ball read those rows.
 
 The geodesic realization treats every edge as a directed unit segment; its
 points are the vertices plus interior edge points (e, mu) with rational
@@ -18,7 +21,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
 
-from .distances import INFINITE, ExtDist, beyond, finite, map_rows
+from .distances import INF, INFINITE, beyond, finite
 from .errors import CapExceeded, NotFinite
 # unused here; perfbench/selftest.py checks the tracer rebinds this from-import
 from .monoids import DEFAULT_CAP, Element, enumerate_all  # noqa: F401
@@ -143,19 +146,20 @@ class CayleyBall:
         labels.reverse()
         return labels
 
-    def distance_matrix(self):
-        """All distance(u, v) as rows, one BFS per source.
+    def distance_rows(self):
+        """All distance(u, v) as integer rows, one BFS per source.
 
-        Entries follow the rule of distance(); equal entries are one shared
-        ExtDist instance.
+        An entry is the BFS depth when it is at most the radius, INF when
+        distance() says infinity, and -1 - radius for a horizon stamp (the
+        encoding of distances.scaled_rows on scale 1).
         """
         n = len(self.vertices)
-        stamp = beyond(self.radius)
+        stamp = -1 - self.radius
         # lookup[d] is the entry for BFS depth d; index -1 (unreached) is
         # the last slot, which depends on the source's closure
-        depths = [finite(d) for d in range(self.radius + 1)]
+        depths = list(range(min(n, self.radius + 1)))
         depths += [stamp] * (n - len(depths))
-        closed = depths + [INFINITE]
+        closed = depths + [INF]
         truncated = depths + [stamp]
         rows = []
         for s in range(n):
@@ -507,8 +511,12 @@ def export_dot(ball):
 def distance_table(ball):
     """One line per ordered vertex pair: "u<TAB>v<TAB>d"."""
     names = [ball.name(i) for i in range(len(ball.vertices))]
-    texts = map_rows(ExtDist.format, ball.distance_matrix())
+    # the text of every entry value distance_rows writes (a depth is below n)
+    text = {d: str(d) for d in range(min(len(ball), ball.radius + 1))}
+    text[-1 - ball.radius] = ">%d" % ball.radius
+    text[INF] = "inf"
     lines = []
-    for u, row in zip(names, texts):
-        lines.extend(map("%s\t%s\t%s".__mod__, zip(repeat(u), names, row)))
+    for u, row in zip(names, ball.distance_rows()):
+        lines.extend(map("%s\t%s\t%s".__mod__,
+                         zip(repeat(u), names, map(text.__getitem__, row))))
     return "\n".join(lines) + "\n"

@@ -117,14 +117,6 @@ def _rows(image, matrix):
     return [list(map(image.__getitem__, map(id, row))) for row in matrix]
 
 
-def map_rows(fn, matrix):
-    """Rows of fn(d) over a matrix of ExtDist entries, calling fn once per
-    distinct instance (ball distance matrices share one instance per
-    value, so that is once per value)."""
-    instances = _instances(matrix)
-    return _rows({key: fn(d) for key, d in instances.items()}, matrix)
-
-
 INF = float("inf")
 
 

@@ -1,19 +1,23 @@
 """Finite semimetric spaces and quasi-isometry checks.
 
-A Space is a named point list with a matrix of ExtDist entries.  All the
-checks treat infinity per the usual conventions (it absorbs sums and
-positive scaling; an inequality with infinity on the smaller side holds
-only when the larger side is infinite too) and skip pairs carrying a
-horizon stamp, counting them so reports can say how much was left
+A Space is a named point list with its distances as rows of exact
+integers over a common denominator (see Space and distances.scaled_rows).
+All the checks treat infinity per the usual conventions (it absorbs sums
+and positive scaling; an inequality with infinity on the smaller side
+holds only when the larger side is infinite too) and skip pairs carrying
+a horizon stamp, counting them so reports can say how much was left
 undecided.
 
-A Space's matrix is decoded once, by the first check that reads it, into
-rows of exact integers over a common denominator (see DistMatrix and
-distances.scaled_rows).  A monoid space is built with its rows instead:
-its BFS depths are integers on scale 1 already, so it is never decoded.
-Every check compares those integers, with the constants brought onto the
-same scale by cross-multiplication; nothing goes through floating point
-and no Fraction arithmetic runs per entry.  Fractions appear only in
+A space loaded from ExtDist values is decoded once, by the first check
+that reads it, and validated by the cubic semimetric-axiom scan, as is
+the output of symmetrize.  Ball and monoid spaces are built with their
+rows instead, on scale 1, straight from BFS depths: a monoid space needs
+no check, and a ball space is validated in O(|V| |E|) by certifying that
+each row is the ball's BFS depth function (certify_ball_rows).  Their
+ExtDist matrix is made only when the API or a printer reads it.  Every
+check compares the integers, with the constants brought onto the same
+scale by cross-multiplication; nothing goes through floating point and
+no Fraction arithmetic runs per entry.  Fractions appear only in
 reported values.
 
 The quasi-isometric embedding inequalities for a map f and constants
@@ -29,9 +33,9 @@ and reports then label the claim isometric-grade.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from math import lcm
-from operator import add, gt
+from operator import add, gt, sub
 
 from . import cayley
 from .distances import INF, INFINITE, ExtDist, beyond, finite, scaled_rows
@@ -45,42 +49,42 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "diagonal" | "positivity" | "triangle"
+    # "diagonal" | "positivity" | "triangle", and for ball rows also
+    # "range" | "edge" | "parent" | "infinity" (see certify_ball_rows)
+    kind: str
     points: tuple
 
 
-class DistMatrix(tuple):
-    """A distance matrix: a tuple of ExtDist row tuples that decodes its
-    entries into exact integers once, on first use.
+class Space:
+    """Named points with distances held as exact integer rows.
 
     ``decoded`` is (L, rows) with L a common denominator of the finite
-    entries and rows in the encoding of distances.scaled_rows (d * L as an
-    int, infinity as INF, a stamp beyond(h) as -1 - h).  A builder that
-    already holds those rows passes them as ``decoded`` and nothing is
-    decoded.
+    distances and rows in the encoding of distances.scaled_rows (d * L as
+    an int, infinity as INF, a stamp beyond(h) as -1 - h); every check
+    reads these rows.  ``dist`` is the same matrix as ExtDist row tuples,
+    for the API and for printing.  A space is built from either one, and
+    the other is made from it on first read.
     """
 
-    def __new__(cls, matrix, decoded=None):
-        self = super().__new__(cls, map(tuple, matrix))
+    def __init__(self, points, dist=None, decoded=None):
+        self.points = tuple(points)
+        if dist is not None:
+            self.dist = tuple(map(tuple, dist))
         if decoded is not None:
             self.decoded = decoded
-        return self
 
     @cached_property
     def decoded(self):
-        return scaled_rows(self)
+        return scaled_rows(self.dist)
 
-
-def _matrix(dist):
-    return dist if isinstance(dist, DistMatrix) else DistMatrix(dist)
-
-
-class Space:
-    """Named points with an ExtDist distance matrix."""
-
-    def __init__(self, points, dist):
-        self.points = tuple(points)
-        self.dist = _matrix(dist)
+    @cached_property
+    def dist(self):
+        scale, rows = self.decoded
+        # one ExtDist per distinct value
+        entry = {v: INFINITE if v == INF else beyond(-1 - v) if v < 0
+                 else finite(Fraction(v, scale))
+                 for v in set().union(*rows)}
+        return tuple(tuple(map(entry.__getitem__, row)) for row in rows)
 
     def __len__(self):
         return len(self.points)
@@ -93,8 +97,8 @@ class Space:
 
     @property
     def exact(self):
-        """True when no entry is horizon-stamped."""
-        return all(d.is_decisive() for row in self.dist for d in row)
+        """True when no entry is horizon-stamped (no row has a negative)."""
+        return min(map(min, self.decoded[1]), default=0) >= 0
 
 
 def _linear(lam, c, sx, sy):
@@ -106,10 +110,10 @@ def _linear(lam, c, sx, sy):
     return m, b.numerator * (m // b.denominator), k.numerator * (m // k.denominator)
 
 
-def _rescaled(dist, scale):
-    """The decoded rows of a DistMatrix over a multiple of its scale (a
-    stamp stays negative but no longer encodes its horizon)."""
-    own, rows = dist.decoded
+def _rescaled(space, scale):
+    """The decoded rows of a Space over a multiple of its scale (a stamp
+    stays negative but no longer encodes its horizon)."""
+    own, rows = space.decoded
     k = scale // own
     if k == 1:
         return rows
@@ -119,11 +123,13 @@ def _rescaled(dist, scale):
 def check_axioms(points, dist):
     """First semimetric-axiom violation, or None.
 
-    Horizon-stamped entries are skipped: an undecided distance can never
-    witness a violation.
+    dist is a matrix of ExtDist entries, or a Space, whose integer rows
+    are read as they are.  Horizon-stamped entries are skipped: an
+    undecided distance can never witness a violation.
     """
     n = len(points)
-    lhs = _matrix(dist).decoded[1]
+    space = dist if isinstance(dist, Space) else Space(points, dist)
+    lhs = space.decoded[1]
     # on the right-hand side a stamp counts as infinity (an infinite sum)
     if min(map(min, lhs), default=0) < 0:
         rhs = [[INF if v < 0 else v for v in row] for row in lhs]
@@ -168,26 +174,85 @@ def make_space(points, matrix):
             else:
                 out.append(finite(v))
         rows.append(out)
-    dist = DistMatrix(rows)
-    violation = check_axioms(points, dist)
+    space = Space(points, rows)
+    violation = check_axioms(points, space)
     if violation is not None:
         raise InvalidSpace(violation)
-    return Space(points, dist)
+    return space
 
 
 def space_from_ball(ball):
     """The vertex set of a Cayley ball as a Space (may carry horizon
-    stamps on pairs the ball cannot decide)."""
-    points = [ball.name(i) for i in range(len(ball.vertices))]
-    dist = DistMatrix(ball.distance_matrix())
-    violation = check_axioms(points, dist)
+    stamps on pairs the ball cannot decide), on the ball's integer
+    distance rows as certified by certify_ball_rows."""
+    rows = ball.distance_rows()
+    violation = certify_ball_rows(ball, rows)
     if violation is not None:
         raise InvalidSpace(violation)
-    return Space(points, dist)
+    return Space([ball.name(i) for i in range(len(rows))], decoded=(1, rows))
+
+
+def certify_ball_rows(ball, rows):
+    """None when every row is the rule of CayleyBall.distance applied to
+    the BFS depths of the ball's digraph; else the first failure found, as
+    a Violation naming the row's source s first.
+
+    Each row takes O(|V| + |E|).  With r the radius, row s must have
+      - "range": every entry a depth 0..r, the stamp -1 - r or INF;
+      - "diagonal", "positivity": d(s, s) = 0 and no other 0;
+      - "edge" (s, u, v): d(s, v) <= d(s, u) + 1 on every edge u -> v,
+        reading a stamp as r + 1 and INF as infinity;
+      - "parent": an in-neighbour at k - 1 for every entry 0 < k <= r;
+      - "infinity": INF only if every vertex without INF is complete.
+    The parent and zero rules give a path of length k from s to every
+    entry k, and the edge rule along a shortest path keeps every entry at
+    most the in-ball depth, so each entry k is exactly the depth, each
+    stamp has depth past r or none, and no reached vertex is INF.  The
+    vertices without INF are then closed under the monoid's generators,
+    so INF is a proved infinity.  Rows that pass satisfy the semimetric
+    axioms.
+    """
+    r = ball.radius
+    stamp = -1 - r
+    n = len(rows)
+    depths = range(min(n, r + 1))
+    allowed = {*depths, stamp, INF}
+    positive = frozenset(depths[1:])
+    # an int per entry for the edge rule: a stamp is r + 1, and INF is
+    # r + 3, more than one step past any other entry
+    key = dict(zip(depths, depths))
+    key[stamp] = r + 1
+    key[INF] = r + 3
+    sources = [u for u, _v, _label in ball.edges]
+    targets = [v for _u, v, _label in ball.edges]
+    for s, row in enumerate(rows):
+        if not allowed.issuperset(row):
+            v = next(v for v, x in enumerate(row) if x not in allowed)
+            return Violation("range", (s, v))
+        if row[s] != 0:
+            return Violation("diagonal", (s,))
+        if row.count(0) > 1:
+            v = next(v for v, x in enumerate(row) if x == 0 and v != s)
+            return Violation("positivity", (s, v))
+        k = list(map(key.__getitem__, row))
+        # steps[e] = k(target) - k(source) for each edge e
+        steps = list(map(sub, map(k.__getitem__, targets), map(k.__getitem__, sources)))
+        if max(steps, default=0) > 1:
+            e = next(e for e, step in enumerate(steps) if step > 1)
+            return Violation("edge", (s, sources[e], targets[e]))
+        parented = set(compress(targets, map((1).__eq__, steps)))
+        if not parented.issuperset(compress(range(n), map(positive.__contains__, row))):
+            v = next(v for v, x in enumerate(row) if x in positive and v not in parented)
+            return Violation("parent", (s, v))
+        if INF in row:
+            for v, x in enumerate(row):
+                if x != INF and not ball.complete[v]:
+                    return Violation("infinity", (s, v))
+    return None
 
 
 def is_strongly_connected(space):
-    rows = space.dist.decoded[1]
+    rows = space.decoded[1]
     # every entry finite: no stamp (negative) and no infinity
     return (min(map(min, rows), default=0) >= 0
             and max(map(max, rows), default=0) < INF)
@@ -201,8 +266,8 @@ def quasi_metricity_lambda(space, eps=0):
     eps = Fraction(eps)
     # the greatest (d(j,i) - eps) / d(i,j), kept as num / den, with the
     # entries and eps over one scale
-    scale = lcm(space.dist.decoded[0], eps.denominator)
-    rows = _rescaled(space.dist, scale)
+    scale = lcm(space.decoded[0], eps.denominator)
+    rows = _rescaled(space, scale)
     e = int(eps * scale)
     num, den = 1, 1
     for i, row in enumerate(rows):
@@ -247,8 +312,8 @@ def check_qi_embedding(f, source, target, lam, eps):
     eps = Fraction(eps)
     checked = 0
     skipped = 0
-    sscale, srows = source.dist.decoded
-    tscale, trows = target.dist.decoded
+    sscale, srows = source.decoded
+    tscale, trows = target.decoded
     # lower: (1/lam) dx - eps <= dy fails when dx > lam dy + lam eps;
     # upper: dy <= lam dx + eps fails when dy > lam dx + eps
     la, lb, lk = _linear(lam, lam * eps, sscale, tscale)
@@ -282,7 +347,7 @@ def quasi_density(f, source, target):
     image, a horizon stamp when the data cannot decide.
     """
     image = sorted(set(f))
-    scale, rows = target.dist.decoded
+    scale, rows = target.decoded
     worst = 0
     for y, yrow in enumerate(rows):
         best = INF
@@ -350,12 +415,11 @@ def symmetrize(space, eps=0):
         raise NotStronglyConnected("symmetrization needs a strongly connected space")
     eps = Fraction(eps)
     n = len(space)
-    scale, rows = space.dist.decoded
+    scale, rows = space.decoded
     sums = [list(map(add, row, col)) for row, col in zip(rows, zip(*rows))]
-    value = {v: finite(Fraction(v, scale)) for v in set().union(*sums)}
-    sym = Space(space.points, [[value[v] for v in row] for row in sums])
+    sym = Space(space.points, decoded=(scale, sums))
 
-    metric_ok = (check_axioms(sym.points, sym.dist) is None
+    metric_ok = (check_axioms(sym.points, sym) is None
                  and sums == [list(col) for col in zip(*sums)])
 
     lam_p = lam + 1
@@ -423,10 +487,10 @@ def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
     mu_max = Fraction(mu_max)
     # both spaces and every epsilon of the grid over one scale, so each
     # eps * scale is an int; the search reads only the sign of a stamp
-    scale = lcm(source.dist.decoded[0], target.dist.decoded[0],
+    scale = lcm(source.decoded[0], target.decoded[0],
                 *(e.denominator for e in grid))
-    srows = _rescaled(source.dist, scale)
-    trows = _rescaled(target.dist, scale)
+    srows = _rescaled(source, scale)
+    trows = _rescaled(target, scale)
     p, q = lam_max.numerator, lam_max.denominator
     # every finite pair needs lambda >= 1
     wide = lam_max >= 1
@@ -523,15 +587,15 @@ def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
 
 def monoid_space(fm):
     """The whole finite monoid as a space under right Cayley distances,
-    with the BFS depths as its decoded rows on scale 1."""
-    depths = [cayley.bfs(fm.right, s)[0] for s in range(len(fm))]
-    # one entry per distinct depth; index -1 (unreached) is the last slot
-    top = max(map(max, depths)) + 1
-    lookup = [finite(d) for d in range(top)] + [INFINITE]
-    scaled = list(range(top)) + [INF]
-    dist = DistMatrix([tuple(map(lookup.__getitem__, row)) for row in depths],
-                      (1, [list(map(scaled.__getitem__, row)) for row in depths]))
-    return Space(fm.names, dist)
+    with the BFS depths as its rows on scale 1."""
+    n = len(fm)
+    # a depth is below n; index -1 (unreached) is the last slot
+    lookup = list(range(n)) + [INF]
+    rows = []
+    for s in range(n):
+        depth = cayley.bfs(fm.right, s)[0]
+        rows.append(list(map(lookup.__getitem__, depth)) if -1 in depth else depth)
+    return Space(fm.names, decoded=(1, rows))
 
 
 def is_congruence(fm, class_of):
@@ -602,7 +666,7 @@ def check_quotient_qi(fm, class_of):
 
     source = monoid_space(fm)
     # word distances are integers: the decoded rows are on scale 1
-    rows = source.dist.decoded[1]
+    rows = source.decoded[1]
     worst = max(max(map(rows[x].__getitem__, members))
                 for members in ordered for x in members)
     r_bound = INFINITE if worst == INF else finite(worst)
@@ -672,7 +736,7 @@ def check_product_projection_qi(pm, radius, cap=None):
     phi = tuple(phi)
 
     source = space_from_ball(prod_ball)
-    scale, rows = source.dist.decoded
+    scale, rows = source.decoded
     worst = 0
     skipped = 0
     for members in fibers.values():

@@ -156,8 +156,14 @@ def test_geodesic_on_full_graph():
 def test_distance_matrix_z3():
     ball = full_cayley_graph(catalog.monoid("z3"))
     want = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
-    got = ball.distance_matrix()
-    assert got == [[finite(v) for v in row] for row in want]
+    assert ball.distance_rows() == want
+
+
+def test_distance_table_cost_does_not_grow_with_the_radius():
+    # depths stay below the vertex count, whatever the radius
+    ball = build_cayley_ball(catalog.monoid("z3"), 10**12)
+    assert ball.distance_rows() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+    assert distance_table(ball).splitlines()[:3] == ["0\t0\t0", "0\t1\t1", "0\t2\t2"]
 
 
 # -- strongly connected components ----------------------------------------------

@@ -2,8 +2,9 @@
 against the loops they replaced.
 
 The space checks run on a Space's rows of exact integers over a common
-denominator; CayleyBall.distance_matrix builds each row from one BFS and
-distance_table formats from those rows.  The references below are the
+denominator; CayleyBall.distance_rows builds each row from one BFS,
+distance_table formats from those rows and certify_ball_rows validates
+them in place of check_axioms.  The references below are the
 per-entry versions of the same functions, kept as oracles: every triple
 and every pair, in row-major order, through the ExtDist methods and
 Fraction arithmetic.  A later section keeps the separate searches that
@@ -18,16 +19,18 @@ exhaustive associativity scan that Light's test replaced.
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_transformation_monoid
-from semigeom import catalog, cayley, green, monoids
+from semigeom import catalog, cayley, geometry, green, monoids
 from semigeom.cayley import build_cayley_ball, distance_table
-from semigeom.distances import INFINITE, ZERO, beyond, finite
-from semigeom.errors import CapExceeded, NotFinite, NotGenerating, NotStronglyConnected
+from semigeom.distances import INF, INFINITE, ZERO, beyond, finite, scaled_rows
+from semigeom.errors import (CapExceeded, InvalidSpace, NotFinite, NotGenerating,
+                             NotStronglyConnected)
 from semigeom.geometry import (
     EmbeddingReport,
     PairViolation,
@@ -35,6 +38,7 @@ from semigeom.geometry import (
     SearchResult,
     Space,
     Violation,
+    certify_ball_rows,
     check_axioms,
     check_product_projection_qi,
     check_quotient_qi,
@@ -45,6 +49,7 @@ from semigeom.geometry import (
     quasi_density,
     quasi_metricity_lambda,
     search_quasi_isometry,
+    space_from_ball,
     symmetrize,
 )
 from semigeom.green import FiniteMonoid, svarc_milnor
@@ -288,6 +293,15 @@ def reference_distance_table(ball):
     return "\n".join(lines) + "\n"
 
 
+def decode(x):
+    """An entry of integer rows on scale 1 as the ExtDist it encodes."""
+    if x == float("inf"):
+        return INFINITE
+    if x < 0:
+        return beyond(-1 - x)
+    return finite(x)
+
+
 # -- matrices --------------------------------------------------------------------
 
 
@@ -526,12 +540,12 @@ def test_distance_matrix_matches_distance(name, make, radius):
     kinds = set()
     for ball in balls(make, radius):
         n = len(ball)
-        matrix = ball.distance_matrix()
-        assert matrix == [[ball.distance(u, v) for v in range(n)] for u in range(n)]
-        # one shared instance per distinct value
-        entries = [d for row in matrix for d in row]
-        assert len({id(d) for d in entries}) == len(set(entries))
-        kinds.update(d.format()[0] for d in entries)
+        rows = ball.distance_rows()
+        for u in range(n):
+            for v in range(n):
+                d = decode(rows[u][v])
+                assert d == ball.distance(u, v)
+                kinds.add(d.format()[0])
         if name != "t3-full":
             assert not all(ball.complete)
     if name == "t3-full":
@@ -546,6 +560,180 @@ def test_distance_table_matches_pair_formatter(name, make, radius):
         want = reference_distance_table(ball)
         fresh = build_cayley_ball(ball.monoid, radius, side=ball.side, base=ball.base)
         assert distance_table(fresh) == want
+
+
+# -- the ball-row certificate ----------------------------------------------------
+#
+# space_from_ball validates a ball's rows by certify_ball_rows instead of
+# the cubic check_axioms, which stays the reference here: on every ball
+# both accept, and no mutation the certificate accepts is one that
+# check_axioms would reject.
+
+
+def eager_matrix(ball):
+    n = len(ball)
+    return [[ball.distance(u, v) for v in range(n)] for u in range(n)]
+
+
+@pytest.mark.parametrize("name,make,radius", BALLS, ids=[b[0] for b in BALLS])
+def test_certificate_accepts_ball_rows_as_check_axioms_does(name, make, radius):
+    for ball in ball_and_schutz_balls(make, radius):
+        rows = ball.distance_rows()
+        matrix = eager_matrix(ball)
+        points = [ball.name(i) for i in range(len(ball))]
+        assert (1, rows) == scaled_rows(matrix)
+        assert certify_ball_rows(ball, rows) is None
+        assert check_axioms(points, matrix) is None
+        assert reference_check_axioms(points, matrix) is None
+        space = space_from_ball(ball)
+        assert space.decoded == (1, rows)
+        assert space.dist == tuple(map(tuple, matrix))
+
+
+def certificate_balls():
+    """Truncated balls with stamps, infinities and unreached vertices, and
+    one complete graph."""
+    yield build_cayley_ball(catalog.monoid("bicyclic"), 4)
+    yield build_cayley_ball(catalog.monoid("free2"), 3)
+    yield build_cayley_ball(catalog.monoid("t3"), 2)
+    yield build_cayley_ball(catalog.monoid("t3"), 2, side=cayley.LEFT)
+    m = catalog.product("bicyclic", "z2")
+    gens = [g for _, g in m.generators()]
+    yield build_cayley_ball(m, 3, base=m.multiply(gens[0], gens[-1]))
+    yield cayley.full_cayley_graph(catalog.monoid("t3"))
+
+
+def mutants(ball, rows):
+    """(kind, s, v, value): each mutation the certificate must reject, at
+    every entry where it applies."""
+    r = ball.radius
+    stamp = -1 - r
+    for s, row in enumerate(rows):
+        reached = [v for v, x in enumerate(row) if x != INF]
+        reaches_incomplete = not all(ball.complete[v] for v in reached)
+        yield "diagonal", s, s, 1
+        yield "diagonal", s, s, stamp
+        for v, x in enumerate(row):
+            if v == s:
+                continue
+            if x == 1:
+                yield "one-to-zero", s, v, 0
+            if 1 < x <= r:
+                yield "lowered", s, v, x - 1
+            if 0 < x <= r:
+                yield "raised", s, v, x + 1
+                yield "finite-to-stamp", s, v, stamp
+            if x == stamp:
+                for k in range(r + 1):
+                    yield "stamp-to-finite", s, v, k
+                if reaches_incomplete:
+                    yield "infinity-reaching-incomplete", s, v, INF
+
+
+def mutated(rows, s, v, value):
+    out = [list(row) for row in rows]
+    out[s][v] = value
+    return out
+
+
+def test_certificate_rejects_every_mutation(monkeypatch):
+    kinds = Counter()
+    for ball in certificate_balls():
+        rows = ball.distance_rows()
+        for kind, s, v, value in mutants(ball, rows):
+            bad = mutated(rows, s, v, value)
+            assert certify_ball_rows(ball, bad) is not None, (kind, s, v, value)
+            kinds[kind] += 1
+        # space_from_ball raises on what the certificate rejects
+        kind, s, v, value = next(mutants(ball, rows))
+        monkeypatch.setattr(ball, "distance_rows",
+                            lambda: mutated(rows, s, v, value))
+        with pytest.raises(InvalidSpace) as info:
+            space_from_ball(ball)
+        assert info.value.violation == Violation("diagonal", (0,))
+    assert set(kinds) == {"diagonal", "one-to-zero", "lowered", "raised",
+                          "finite-to-stamp", "stamp-to-finite",
+                          "infinity-reaching-incomplete"}
+
+
+def test_certificate_names_the_failing_rule():
+    ball = build_cayley_ball(catalog.monoid("free2"), 2)
+    rows = ball.distance_rows()
+    # 0: 1, 1: a, 2: b, 3: aa, ...; row 0 is 0 1 1 2 2 2 2
+    assert rows[0] == [0, 1, 1, 2, 2, 2, 2]
+    assert rows[1][0] == -3  # the identity is not reached from a
+    cases = [
+        ((0, 3, 3), Violation("range", (0, 3))),
+        ((0, 0, 1), Violation("diagonal", (0,))),
+        ((0, 1, 0), Violation("positivity", (0, 1))),
+        ((0, 3, 1), Violation("parent", (0, 3))),
+        ((0, 1, 2), Violation("edge", (0, 0, 1))),
+        ((0, 3, -3), Violation("edge", (0, 1, 3))),
+        ((1, 0, INF), Violation("infinity", (1, 3))),
+    ]
+    for (s, v, value), want in cases:
+        assert certify_ball_rows(ball, mutated(rows, s, v, value)) == want
+
+
+def test_certificate_accepts_only_the_rows_or_a_stamp_for_infinity():
+    """Random single-entry mutations: the only one the certificate may
+    accept is a stamp where infinity is proved, a conservative value that
+    check_axioms accepts too."""
+    rng = random.Random(12)
+    rejected = 0
+    for ball in certificate_balls():
+        rows = ball.distance_rows()
+        n, r = len(rows), ball.radius
+        points = [ball.name(i) for i in range(n)]
+        for _ in range(150):
+            s, v = rng.randrange(n), rng.randrange(n)
+            x = rows[s][v]
+            value = rng.choice([x - 1 if 0 < x < INF else 0, x + 1 if x < INF else 0,
+                                0, 1, -1 - r, INF, rng.randint(0, r)])
+            if value == x:
+                continue
+            bad = mutated(rows, s, v, value)
+            if certify_ball_rows(ball, bad) is None:
+                assert (x, value) == (INF, -1 - r)
+                matrix = [[decode(d) for d in row] for row in bad]
+                assert reference_check_axioms(points, matrix) is None
+            else:
+                rejected += 1
+    assert rejected > 500
+
+
+def counting_view(monkeypatch):
+    """Record every Space whose ExtDist view is built."""
+    built = []
+    view = vars(Space)["dist"]
+
+    def counted(space):
+        built.append(space)
+        return view.func(space)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Space, "dist")
+    monkeypatch.setattr(Space, "dist", prop)
+    return built
+
+
+def test_checks_on_derived_spaces_never_build_the_view(monkeypatch):
+    built = counting_view(monkeypatch)
+    report = check_product_projection_qi(catalog.product("bicyclic", "z2"), 4)
+    assert report.ok and report.embedding.skipped > 0
+    fm = FiniteMonoid(catalog.monoid("t3"))
+    assert check_quotient_qi(fm, list(range(len(fm)))).ok
+    assert not check_quotient_qi(fm, [0] * len(fm)).ok
+    ball = build_cayley_ball(catalog.monoid("bicyclic"), 3)
+    space = space_from_ball(ball)
+    assert not space.exact and not geometry.is_strongly_connected(space)
+    full = monoid_space(FiniteMonoid(catalog.monoid("z3")))
+    assert full.exact and geometry.is_strongly_connected(full)
+    assert built == []
+    # once built, the view is the matrix of ExtDist values
+    assert space.dist == tuple(map(tuple, eager_matrix(ball)))
+    assert space.d(0, 1) == ball.distance(0, 1)
+    assert built == [space]
 
 
 # -- one breadth-first search ----------------------------------------------------
