@@ -2,7 +2,7 @@
 Schutzenberger graph approximations, and geodesic realization.
 
 A ball is the out-neighbourhood of a base element at a given radius in the
-right (or left) Cayley graph, stored as an explicit labelled digraph.  Path
+right (or left) Cayley graph, held as monoids.explore's successor table.  Path
 distances inside the ball are exact values of the ball digraph; they carry
 the ball radius as a horizon: a shortest in-ball path longer than the
 radius, or a missing path that might re-enter from outside, is reported as
@@ -19,15 +19,14 @@ points are the vertices plus interior edge points (e, mu) with rational
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 
 from .distances import INF, INFINITE, beyond, finite
 from .errors import CapExceeded, NotFinite
 # unused here; perfbench/selftest.py checks the tracer rebinds this from-import
 from .monoids import DEFAULT_CAP, Element, enumerate_all  # noqa: F401
-
-RIGHT = "right"
-LEFT = "left"
+from .monoids import LEFT, RIGHT, explore
 
 
 def bfs(adj, s):
@@ -52,28 +51,37 @@ def bfs(adj, s):
 class CayleyBall:
     """A radius-r ball of a Cayley graph as an explicit digraph.
 
-    vertices[i] is an Element; lengths[i] is the BFS depth from the base
-    (the word length when the base is the identity).  edges hold
+    vertices[i] is an Element, and index maps its key back to i; lengths[i]
+    is the BFS depth from the base (the word length when the base is the
+    identity).  succ[i][g] is the vertex that the g-th generator leads to
+    from vertex i, or -1 when that product lies outside the ball, and
+    out_adj[i] lists the ball's targets in generator order.  edges hold
     (source, target, label) triples ordered by source, then generator
     order.  complete[i] says whether every product of vertex i by a
     generator lands inside the ball, i.e. the vertex's out-edges are fully
     visible.
     """
 
-    def __init__(self, monoid, side, radius, base, vertices, lengths, edges, complete):
+    def __init__(self, monoid, side, radius, base, keys, index, lengths, succ):
         self.monoid = monoid
         self.side = side
         self.radius = radius
         self.base = base
-        self.vertices = vertices
+        self.vertices = [Element(monoid, k) for k in keys]
+        self.index = index
         self.lengths = lengths
-        self.edges = edges
-        self.complete = complete
-        self.index = {v: i for i, v in enumerate(vertices)}
-        self.out_adj = [[] for _ in vertices]
-        for u, v, _label in edges:
-            self.out_adj[u].append(v)
+        self.succ = succ
+        self.complete = [-1 not in row for row in succ]
+        # a complete row is its own successor list; no caller mutates either
+        self.out_adj = [row if inside else [v for v in row if v >= 0]
+                        for row, inside in zip(succ, self.complete)]
         self._dist_cache = {}
+
+    @cached_property
+    def edges(self):
+        syms = self.monoid._gen_syms
+        return [(u, v, syms[g]) for u, row in enumerate(self.succ)
+                for g, v in enumerate(row) if v >= 0]
 
     def __len__(self):
         return len(self.vertices)
@@ -84,7 +92,7 @@ class CayleyBall:
     def index_of(self, x):
         """Vertex index of an Element (or pass an index through)."""
         if isinstance(x, Element):
-            return self.index[x]
+            return self.index[x.key]
         return int(x)
 
     def in_degrees(self):
@@ -140,8 +148,7 @@ class CayleyBall:
             while v not in self.out_adj[order[i]]:
                 i += 1
             src = order[i]
-            eid = bisect_left(self.edges, (src,)) + self.out_adj[src].index(v)
-            labels.append(self.edges[eid][2])
+            labels.append(self.monoid._gen_syms[self.succ[src].index(v)])
             v = src
         labels.reverse()
         return labels
@@ -176,44 +183,11 @@ def build_cayley_ball(m, radius, side=RIGHT, base=None, cap=DEFAULT_CAP):
     side="left" on the left (edges x -> a*x).  Every edge with both ends in
     the ball is recorded, including edges between boundary vertices.
     """
-    if side not in (RIGHT, LEFT):
-        raise ValueError("side must be 'right' or 'left'")
     if base is None:
         base = m.identity
-    gens = list(zip(m._gen_syms, m._gen_keys))
-    mul = m._mul_key
-    start = base.key
-    index = {start: 0}
-    vertices = [start]
-    lengths = [0]
-    edges = []
-    complete = []
-    # One product per (vertex, generator).  Vertices come in BFS order, so
-    # by the first vertex at the radius every ball vertex is indexed and
-    # boundary vertices only look their products up.
-    i = 0
-    while i < len(vertices):
-        key = vertices[i]
-        d = lengths[i]
-        inside = True
-        for sym, gk in gens:
-            nk = mul(key, gk) if side == RIGHT else mul(gk, key)
-            t = index.get(nk)
-            if t is None:
-                if d >= radius:
-                    inside = False
-                    continue
-                if len(vertices) >= cap:
-                    raise CapExceeded(cap)
-                t = len(vertices)
-                index[nk] = t
-                vertices.append(nk)
-                lengths.append(d + 1)
-            edges.append((i, t, sym))
-        complete.append(inside)
-        i += 1
-    elems = [Element(m, k) for k in vertices]
-    return CayleyBall(m, side, radius, base, elems, lengths, edges, complete)
+    table = explore(m, radius, side, base, cap)
+    return CayleyBall(m, side, radius, base, table.keys, table.index, table.lengths,
+                      table.succ)
 
 
 def full_cayley_graph(m, side=RIGHT, cap=DEFAULT_CAP):
@@ -350,19 +324,16 @@ def base_component(ball, scc):
     relative to the subgraph.
     """
     keep = scc.components[scc.comp_of[0]]
-    remap = {old: new for new, old in enumerate(keep)}
-    vertices = [ball.vertices[i] for i in keep]
+    # remap[-1] is the last slot, so an edge out of the ball or out of the
+    # component is -1 alike and leaves its source incomplete
+    remap = [-1] * (len(ball) + 1)
+    for new, old in enumerate(keep):
+        remap[old] = new
+    keys = [ball.vertices[i].key for i in keep]
+    index = {k: i for i, k in enumerate(keys)}
     lengths = [ball.lengths[i] for i in keep]
-    complete = [ball.complete[i] for i in keep]
-    edges = []
-    for u, v, sym in ball.edges:
-        if u in remap:
-            if v in remap:
-                edges.append((remap[u], remap[v], sym))
-            else:
-                complete[remap[u]] = False
-    return CayleyBall(ball.monoid, ball.side, ball.radius, ball.base, vertices,
-                      lengths, edges, complete)
+    succ = [list(map(remap.__getitem__, ball.succ[i])) for i in keep]
+    return CayleyBall(ball.monoid, ball.side, ball.radius, ball.base, keys, index, lengths, succ)
 
 
 def schutzenberger_ball(m, h, radius, cap=DEFAULT_CAP):

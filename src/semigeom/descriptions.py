@@ -19,12 +19,14 @@ from .rewriting import RewritingSystem, parse_word
 
 
 def load_monoid(desc):
+    if not isinstance(desc, dict):
+        raise ValueError("monoid description %r is not an object" % (desc,))
     kind = desc.get("kind")
     if kind == "rewriting":
-        alphabet = list(desc["alphabet"])
+        alphabet = list(_entry(desc, "alphabet"))
         rules = [
             (parse_word(lhs, alphabet), parse_word(rhs, alphabet))
-            for lhs, rhs in desc["rules"]
+            for lhs, rhs in _entry(desc, "rules")
         ]
         system = RewritingSystem(alphabet, rules)
         if not system.is_complete:
@@ -35,20 +37,27 @@ def load_monoid(desc):
             )
         return RewritingMonoid(system, desc.get("extra_generators", ()))
     if kind == "transformation":
-        gens = desc["generators"]
+        gens = _entry(desc, "generators")
         if isinstance(gens, dict):
             gens = sorted(gens.items())
-        return TransformationMonoid(desc["degree"], gens)
+        return TransformationMonoid(_entry(desc, "degree"), gens)
     if kind == "table":
         return TableMonoid.from_semigroup(
-            desc["elements"],
-            desc["table"],
+            _entry(desc, "elements"),
+            _entry(desc, "table"),
             identity=desc.get("identity"),
             generator_names=desc.get("generators"),
         )
     if kind == "product":
-        return ProductMonoid(load_monoid(desc["left"]), load_monoid(desc["right"]))
+        return ProductMonoid(load_monoid(_entry(desc, "left")),
+                             load_monoid(_entry(desc, "right")))
     raise ValueError("unknown monoid kind %r" % kind)
+
+
+def _entry(desc, key):
+    if key not in desc:
+        raise ValueError("%s monoid description has no %r entry" % (desc["kind"], key))
+    return desc[key]
 
 
 def parse_rational(value):

@@ -223,8 +223,8 @@ def certify_ball_rows(ball, rows):
     key = dict(zip(depths, depths))
     key[stamp] = r + 1
     key[INF] = r + 3
-    sources = [u for u, _v, _label in ball.edges]
-    targets = [v for _u, v, _label in ball.edges]
+    sources = [u for u, out in enumerate(ball.out_adj) for _v in out]
+    targets = [v for out in ball.out_adj for v in out]
     for s, row in enumerate(rows):
         if not allowed.issuperset(row):
             v = next(v for v, x in enumerate(row) if x not in allowed)
@@ -721,7 +721,7 @@ def check_product_projection_qi(pm, radius, cap=None):
     R is the largest decisive fiber diameter seen in the ball; pairs the
     ball cannot decide are skipped and counted.
     """
-    from .monoids import DEFAULT_CAP, Element
+    from .monoids import DEFAULT_CAP
 
     if cap is None:
         cap = DEFAULT_CAP
@@ -731,7 +731,7 @@ def check_product_projection_qi(pm, radius, cap=None):
     fibers = {}
     for i, v in enumerate(prod_ball.vertices):
         lk = v.key[0]
-        phi.append(left_ball.index[Element(pm.left, lk)])
+        phi.append(left_ball.index[lk])
         fibers.setdefault(lk, []).append(i)
     phi = tuple(phi)
 

@@ -1,16 +1,16 @@
 """Green's relations, Schutzenberger groups, and action checks.
 
 Everything here that claims exactness requires a finite monoid: the
-FiniteMonoid view enumerates all elements in one pass that multiplies
-each element by each generator once, on the right, and derives the
-products on the left, and any other product, from words in the
-generators.  Green's relations then come from the two Cayley graphs
-(Froidure & Pin 1997): the R-classes are the strongly connected
-components of the right Cayley graph, the L-classes those of the left
-one, the H-classes their intersections, and the R-order is reachability
-between R-classes.  The Schutzenberger group of an H-class H is the left
-stabilizer {s : sH = H} quotiented by the kernel of its action on H, so
-group elements are literally permutations of H.
+FiniteMonoid view reads the right Cayley graph from monoids.explore, one
+backend product per element and generator, and derives the left
+products, and any other product, from words in the generators.  Green's
+relations then come from the two Cayley graphs (Froidure & Pin 1997):
+the R-classes are the strongly connected components of the right Cayley
+graph, the L-classes those of the left one, the H-classes their
+intersections, and the R-order is reachability between R-classes.  The
+Schutzenberger group of an H-class H is the left stabilizer
+{s : sH = H} quotiented by the kernel of its action on H, so group
+elements are literally permutations of H.
 
 The action checks run the group against the induced digraph on the
 R-class (whose internal path distances are the true word-metric
@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import cayley
-from .errors import NotAnHClass, NotFinite, NotGenerating, ProvedInfinite
+from .errors import CapExceeded, NotAnHClass, NotFinite, NotGenerating, ProvedInfinite
 # enumerate_all is unused here; perfbench/selftest.py checks the tracer
 # rebinds this from-import
 from .monoids import DEFAULT_CAP, Element, enumerate_all, proved_infinite  # noqa: F401
+from .monoids import explore
 
 # finiteness probes stop here by default: proving a monoid finite means
 # exhausting it, which is pointlessly slow when the caller only wants an
@@ -38,9 +39,9 @@ PROBE_CAP = 4096
 class FiniteMonoid:
     """A fully enumerated monoid with its two Cayley graphs.
 
-    One Froidure-Pin pass enumerates the elements breadth-first from the
-    identity over the ordered generators, in the order of
-    monoids.enumerate_out_ball, so index 0 is the identity and indices are
+    One Froidure-Pin pass, monoids.explore of the right Cayley graph,
+    enumerates the elements breadth-first from the identity over the
+    ordered generators, so index 0 is the identity and indices are
     comparable across runs.  The pass makes one backend product per
     element and generator: right[i][g] is the index of x_i a_g for the
     g-th generator a_g.  Each other element v also records its BFS parent
@@ -56,36 +57,19 @@ class FiniteMonoid:
     def __init__(self, monoid, cap=DEFAULT_CAP):
         if proved_infinite(monoid):
             raise ProvedInfinite("monoid is infinite")
-        mul = monoid._mul_key
-        gen_keys = monoid._gen_keys
-        keys = [monoid._identity_key]
-        index = {keys[0]: 0}
-        parent = [0]
-        last = [0]
-        right = []
-        for key in keys:
-            row = []
-            for g, gk in enumerate(gen_keys):
-                nk = mul(key, gk)
-                j = index.get(nk)
-                if j is None:
-                    if len(keys) >= cap:
-                        raise NotFinite("monoid not exhausted within cap %d" % cap)
-                    j = index[nk] = len(keys)
-                    keys.append(nk)
-                    parent.append(len(right))
-                    last.append(g)
-                row.append(j)
-            right.append(row)
+        try:
+            table = explore(monoid, cap=cap)
+        except CapExceeded:
+            raise NotFinite("monoid not exhausted within cap %d" % cap) from None
         self.monoid = monoid
-        self.keys = keys
-        self.index = index
-        self.right = right
-        self._parent = parent
-        self._last = last
-        self.names = [monoid._key_name(k) for k in keys]
+        self.keys = table.keys
+        self.index = table.index
+        self.right = table.succ
+        self._parent = table.parent
+        self._last = table.last
+        self.names = [monoid._key_name(k) for k in self.keys]
         self.identity_index = 0
-        self.gen_indices = right[0]
+        self.gen_indices = self.right[0]
         self._green = None
 
     @cached_property

@@ -4,17 +4,22 @@ Four backends share one interface: complete rewriting systems (elements are
 normal-form words), transformation monoids (elements are maps on {0..n-1}
 acting on the right, composed left to right), finite multiplication tables
 (associativity is checked at load; a semigroup table gets an identity
-adjoined), and direct products.  Element enumeration is breadth-first from
-the identity over the ordered generator list, which fixes a canonical order
-on every ball.
+adjoined), and direct products.  One breadth-first search, explore, finds
+every Cayley graph as a successor table (Froidure & Pin 1997); its order
+over the ordered generator list is canonical on every ball.
 """
 
+from collections import namedtuple
+from collections.abc import Hashable
 from typing import NamedTuple
 
 from .errors import BackendMismatch, CapExceeded, UnknownSymbol
 from .rewriting import LeftSideAutomaton, RewritingSystem, format_word, parse_word
 
 DEFAULT_CAP = 10**6
+
+RIGHT = "right"
+LEFT = "left"
 
 # budget for deciding whether a product's right factor is a finite group;
 # an infinite factor must not drag construction through the full cap
@@ -62,6 +67,7 @@ class Monoid:
     def __init__(self):
         self._gen_syms = []
         self._gen_keys = []
+        self._gen_index = {}
         self._identity_key = None
 
     # -- key-level operations implemented by each backend ------------------
@@ -90,11 +96,9 @@ class Monoid:
         return [(s, Element(self, k)) for s, k in zip(self._gen_syms, self._gen_keys)]
 
     def generator(self, symbol):
-        try:
-            i = self._gen_syms.index(symbol)
-        except ValueError:
-            raise UnknownSymbol("no generator named %r" % symbol) from None
-        return Element(self, self._gen_keys[i])
+        if symbol not in self._gen_index:
+            raise UnknownSymbol("no generator named %r" % symbol)
+        return Element(self, self._gen_keys[self._gen_index[symbol]])
 
     def multiply(self, x, y):
         if x.monoid is not self or y.monoid is not self:
@@ -112,6 +116,17 @@ class Monoid:
     def description(self):
         """A serializable dict describing this backend."""
         raise NotImplementedError
+
+    def _add_generator(self, sym, key):
+        """Append a generator; two with one symbol would make words and
+        edge labels ambiguous."""
+        if not isinstance(sym, Hashable):
+            raise ValueError("generator symbol %r is not a name" % (sym,))
+        if sym in self._gen_index:
+            raise ValueError("generator symbol %r is used twice" % (sym,))
+        self._gen_index[sym] = len(self._gen_syms)
+        self._gen_syms.append(sym)
+        self._gen_keys.append(key)
 
 
 class RewritingMonoid(Monoid):
@@ -134,16 +149,14 @@ class RewritingMonoid(Monoid):
         self.system = system
         self._identity_key = ()
         for sym in system.alphabet:
-            self._gen_syms.append(sym)
-            self._gen_keys.append(system.normalize((sym,)))
+            self._add_generator(sym, system.normalize((sym,)))
         self._single_char = all(len(a) == 1 for a in system.alphabet)
         self.extra_generators = []
         for sym, word in extra_generators:
             if isinstance(word, str):
                 word = parse_word(word, system.alphabet)
             self.extra_generators.append((sym, tuple(word)))
-            self._gen_syms.append(sym)
-            self._gen_keys.append(system.normalize(tuple(word)))
+            self._add_generator(sym, system.normalize(tuple(word)))
 
     def _mul_key(self, a, b):
         # keys are normal forms, which normal_product requires of a
@@ -201,8 +214,7 @@ class TransformationMonoid(Monoid):
                     0 <= i < self.degree for i in images)
             if not ok:
                 raise ValueError("generator %r has bad image list %r" % (sym, images))
-            self._gen_syms.append(sym)
-            self._gen_keys.append(images)
+            self._add_generator(sym, images)
 
     def _mul_key(self, a, b):
         return tuple(map(b.__getitem__, a))
@@ -280,9 +292,11 @@ class TableMonoid(Monoid):
         self._identity_key = e
         if generator_names is None:
             generator_names = [names[i] for i in range(n) if i != e]
+        idx = {name: i for i, name in enumerate(names)}
         for g in generator_names:
-            self._gen_syms.append(g)
-            self._gen_keys.append(names.index(g))
+            if not isinstance(g, Hashable) or g not in idx:
+                raise ValueError("generator %r is not an element of the table" % (g,))
+            self._add_generator(g, idx[g])
 
     @classmethod
     def from_semigroup(cls, names, table, identity=None, generator_names=None):
@@ -296,7 +310,7 @@ class TableMonoid(Monoid):
             if not isinstance(row, (list, tuple)):
                 raise ValueError("table row %r is not a list" % (row,))
             for v in row:
-                if not (isinstance(v, str) or _is_int(v)):
+                if not (v in idx if isinstance(v, str) else _is_int(v)):
                     raise ValueError("table entry %r is neither a name nor an index" % (v,))
         # the identity search below reads every row and column
         if len(table) != n or any(len(row) != n for row in table):
@@ -304,6 +318,8 @@ class TableMonoid(Monoid):
         table = [[idx[v] if isinstance(v, str) else v for v in row] for row in table]
         e = None
         if identity is not None:
+            if identity not in names:
+                raise ValueError("identity %r is not an element of the table" % (identity,))
             e = idx[identity]
         else:
             for i in range(n):
@@ -395,30 +411,28 @@ class ProductMonoid(Monoid):
         self.left = left
         self.right = right
         self._identity_key = (left._identity_key, right._identity_key)
-        right_elements = (None if proved_infinite(right)
-                          else enumerate_all(right, GROUP_PROBE_CAP))
-        self.right_is_group = right_elements is not None and _is_group_elements(
-            right, right_elements
-        )
+        try:
+            probe = None if proved_infinite(right) else explore(right, cap=GROUP_PROBE_CAP)
+        except CapExceeded:
+            probe = None
+        # a finite monoid is a group exactly when right multiplication by
+        # each generator permutes it
+        self.right_is_group = probe is not None and all(
+            len(set(column)) == len(probe.keys) for column in zip(*probe.succ))
         id1 = left._key_name(left._identity_key)
         id2 = right._key_name(right._identity_key)
         if self.right_is_group:
             for sym, gk in zip(left._gen_syms, left._gen_keys):
-                for g in right_elements:
-                    self._gen_syms.append("(%s,%s)" % (sym, right._key_name(g.key)))
-                    self._gen_keys.append((gk, g.key))
-            for g in right_elements:
-                if g.key == right._identity_key:
-                    continue
-                self._gen_syms.append("(%s,%s)" % (id1, right._key_name(g.key)))
-                self._gen_keys.append((left._identity_key, g.key))
+                for g in probe.keys:
+                    self._add_generator("(%s,%s)" % (sym, right._key_name(g)), (gk, g))
+            for g in probe.keys[1:]:
+                self._add_generator("(%s,%s)" % (id1, right._key_name(g)),
+                                    (left._identity_key, g))
         else:
             for sym, gk in zip(left._gen_syms, left._gen_keys):
-                self._gen_syms.append("(%s,%s)" % (sym, id2))
-                self._gen_keys.append((gk, right._identity_key))
+                self._add_generator("(%s,%s)" % (sym, id2), (gk, right._identity_key))
             for sym, gk in zip(right._gen_syms, right._gen_keys):
-                self._gen_syms.append("(%s,%s)" % (id1, sym))
-                self._gen_keys.append((left._identity_key, gk))
+                self._add_generator("(%s,%s)" % (id1, sym), (left._identity_key, gk))
 
     def _mul_key(self, a, b):
         return (self.left._mul_key(a[0], b[0]), self.right._mul_key(a[1], b[1]))
@@ -451,16 +465,6 @@ class ProductMonoid(Monoid):
         }
 
 
-def _is_group_elements(m, elements):
-    """True when every listed element has a two-sided inverse."""
-    keys = [x.key for x in elements]
-    e = m._identity_key
-    for a in keys:
-        if not any(m._mul_key(a, b) == e and m._mul_key(b, a) == e for b in keys):
-            return False
-    return True
-
-
 def direct_product(left, right):
     return ProductMonoid(left, right)
 
@@ -476,45 +480,74 @@ def proved_infinite(m):
     return False
 
 
-def enumerate_out_ball(m, radius, cap=DEFAULT_CAP):
-    """Elements at word length <= radius, breadth-first from the identity.
+# explore's result; its docstring says what each field holds
+CayleyTable = namedtuple("CayleyTable", "keys index lengths succ parent last")
 
-    Discovery order is canonical: frontier elements in order, then the
-    ordered generator list.  Lengths are nondecreasing along the returned
-    list.  Raises CapExceeded when the ball grows past the cap.
+
+def explore(m, radius=None, side=RIGHT, base=None, cap=DEFAULT_CAP):
+    """The radius-r out-ball of base (default: identity) as a CayleyTable.
+
+    side="right" multiplies generators on the right (edges x -> x*a),
+    side="left" on the left (edges x -> a*x); radius None searches until
+    no new element appears.  Vertex i is the key keys[i] at BFS depth
+    lengths[i], and index maps keys back to vertices.  Discovery order is
+    canonical: vertices in order, each by the ordered generator list.
+    succ[i][g] is the vertex of the product of vertex i by the g-th
+    generator, or -1 when it lies past the radius; one backend product is
+    made per vertex and generator.  Vertex v > 0 was first reached from
+    parent[v] by generator last[v], so on the right x_v = x_parent[v]
+    a_last[v].  Raises CapExceeded when the ball grows past the cap.
     """
-    ball, _ = _bfs_keys(m, radius, cap)
-    return [LengthedElement(Element(m, k), d) for k, d in ball]
+    if side not in (RIGHT, LEFT):
+        raise ValueError("side must be 'right' or 'left'")
+    start = m._identity_key if base is None else base.key
+    # a search of at most cap vertices has every depth below cap
+    radius = cap if radius is None else radius
+    on_right = side == RIGHT
+    mul = m._mul_key
+    gens = list(enumerate(m._gen_keys))
+    keys = [start]
+    index = {start: 0}
+    lengths = [0]
+    parent = [0]
+    last = [0]
+    succ = []
+    for i, key in enumerate(keys):
+        d = lengths[i]
+        row = []
+        for g, gk in gens:
+            nk = mul(key, gk) if on_right else mul(gk, key)
+            t = index.get(nk)
+            if t is None:
+                if d >= radius:
+                    # vertices come in BFS order, so by the first vertex at
+                    # the radius every vertex of the ball is indexed
+                    t = -1
+                else:
+                    if len(keys) >= cap:
+                        raise CapExceeded(cap)
+                    t = index[nk] = len(keys)
+                    keys.append(nk)
+                    lengths.append(d + 1)
+                    parent.append(i)
+                    last.append(g)
+            row.append(t)
+        succ.append(row)
+    return CayleyTable(keys, index, lengths, succ, parent, last)
+
+
+def enumerate_out_ball(m, radius, cap=DEFAULT_CAP):
+    """Elements at word length <= radius, breadth-first from the identity,
+    in explore's order.  Raises CapExceeded when the ball grows past the
+    cap."""
+    table = explore(m, radius, cap=cap)
+    return [LengthedElement(Element(m, k), d) for k, d in zip(table.keys, table.lengths)]
 
 
 def enumerate_all(m, cap=DEFAULT_CAP):
     """All elements if the monoid is finite within the cap, else None."""
     try:
-        ball, exhausted = _bfs_keys(m, None, cap)
+        table = explore(m, cap=cap)
     except CapExceeded:
         return None
-    if not exhausted:
-        return None
-    return [Element(m, k) for k, _ in ball]
-
-
-def _bfs_keys(m, radius, cap):
-    """Key-level BFS; returns ([(key, length)...], exhausted_flag)."""
-    start = m._identity_key
-    dist = {start: 0}
-    order = [(start, 0)]
-    gen_keys = m._gen_keys
-    i = 0
-    while i < len(order):
-        key, d = order[i]
-        i += 1
-        if radius is not None and d >= radius:
-            break
-        for gk in gen_keys:
-            nk = m._mul_key(key, gk)
-            if nk not in dist:
-                if len(dist) >= cap:
-                    raise CapExceeded(cap)
-                dist[nk] = d + 1
-                order.append((nk, d + 1))
-    return order, i >= len(order)
+    return [Element(m, k) for k in table.keys]

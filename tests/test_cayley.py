@@ -343,7 +343,7 @@ def test_schutzenberger_ball_matches_recomputed_products(name, make, radius):
         assert sb.complete == complete
         ball = build_cayley_ball(m, radius, base=h)
         scc = strongly_connected_components(ball)
-        assert [ball.index[x] for x in sb.vertices] == scc.components[scc.comp_of[0]]
+        assert [ball.index_of(x) for x in sb.vertices] == scc.components[scc.comp_of[0]]
 
 
 # -- realization ------------------------------------------------------------------

@@ -548,6 +548,7 @@ def test_not_finite(capsys):
 
 TABLE = {"kind": "table", "elements": ["e", "a"]}
 TRANSFORMATION = {"kind": "transformation", "degree": 2}
+REWRITING = {"kind": "rewriting", "alphabet": ["a", "b"], "rules": []}
 
 
 @pytest.mark.parametrize("desc, reason", [
@@ -564,10 +565,30 @@ TRANSFORMATION = {"kind": "transformation", "degree": 2}
     (dict(TRANSFORMATION, generators=[["a", 5]]), "generator 'a' has bad image list 5"),
     (dict(TRANSFORMATION, generators=[5]), "generator 5 is not a (symbol, images) pair"),
     (dict(TRANSFORMATION, degree=2.5, generators=[]), "degree 2.5 is not an integer"),
+    (dict(TRANSFORMATION, generators=[["a", [1, 0]], ["a", [0, 0]]]),
+     "generator symbol 'a' is used twice"),
+    (dict(TABLE, table=[["e", "a"], ["a", "e"]], generators=["a", "a"]),
+     "generator symbol 'a' is used twice"),
+    (dict(REWRITING, extra_generators=[["a", "ab"]]), "generator symbol 'a' is used twice"),
+    (dict(TRANSFORMATION, generators=[[["a"], [1, 0]]]), "generator symbol ['a'] is not a name"),
+    (dict(TABLE, table=[["e", "a"], ["a", "e"]], generators=["zz"]),
+     "generator 'zz' is not an element of the table"),
+    (dict(TABLE, table=[["e", "a"], ["a", "e"]], identity="zz"),
+     "identity 'zz' is not an element of the table"),
+    (dict(TABLE, table=[["e", "a"], ["a", "q"]]),
+     "table entry 'q' is neither a name nor an index"),
+    ({"kind": "product", "left": dict(TABLE, table=[["e", "a"], ["a", "e"]])},
+     "product monoid description has no 'right' entry"),
+    ([1, 2], "monoid description [1, 2] is not an object"),
 ], ids=["table-float", "table-bool", "table-row", "table-shape", "image-float",
-        "image-bool", "image-list", "generator-pair", "degree-float"])
+        "image-bool", "image-list", "generator-pair", "degree-float",
+        "transformation-duplicate-symbol", "table-duplicate-symbol",
+        "extra-generator-duplicate-symbol", "list-symbol", "table-unknown-generator",
+        "table-unknown-identity", "table-unknown-entry", "product-without-right",
+        "not-an-object"])
 def test_bad_monoid_descriptions_exit_2(capsys, tmp_path, desc, reason):
-    # each was once truncated to an int or ended in a TypeError
+    # each was once accepted with ambiguous output, truncated to an int, or
+    # ended in a TypeError, a bare key or a traceback
     path = write_json(tmp_path, "bad.monoid", desc)
     code, out, err = run(capsys, "green", "--monoid", path)
     assert code == 2 and out == ""

@@ -11,9 +11,10 @@ Fraction arithmetic.  A later section keeps the separate searches that
 cayley.bfs replaced (ball distances with parent edges, R-class distances,
 Svarc word lengths, monoid_space, the component poset) as oracles too,
 the next one the full multiplication table that Green's relations, the
-Schutzenberger groups and the congruence test used to read, and the last
-one the backend products that FiniteMonoid now derives from words and the
-exhaustive associativity scan that Light's test replaced.
+Schutzenberger groups and the congruence test used to read, the next one
+the backend products that FiniteMonoid now derives from words and the
+exhaustive associativity scan that Light's test replaced, and the last one
+the four loops that monoids.explore replaced.
 """
 
 import random
@@ -802,8 +803,20 @@ def reference_schutzenberger_ball(m, h, radius):
                 edges.append((remap[u], remap[v], sym))
             else:
                 complete[remap[u]] = False
-    return cayley.CayleyBall(m, cayley.RIGHT, radius, h, [ball.vertices[i] for i in keep],
-                             [ball.lengths[i] for i in keep], edges, complete)
+    return [ball.vertices[i] for i in keep], [ball.lengths[i] for i in keep], edges, complete
+
+
+def ball_of_lists(m, radius, base, vertices, lengths, edges, complete):
+    """A CayleyBall with the given edges, each slot without one left -1."""
+    syms = list(m.generator_symbols)
+    succ = [[-1] * len(syms) for _ in vertices]
+    for u, v, sym in edges:
+        succ[u][syms.index(sym)] = v
+    keys = [x.key for x in vertices]
+    ball = cayley.CayleyBall(m, cayley.RIGHT, radius, base, keys,
+                             {k: i for i, k in enumerate(keys)}, lengths, succ)
+    assert ball.edges == edges and ball.complete == complete
+    return ball
 
 
 def reference_condensation(ball, comp_of, k):
@@ -904,8 +917,8 @@ def ball_and_schutz_balls(make, radius):
     for h in (m.identity, m.multiply(gens[0], gens[-1])):
         sb = cayley.schutzenberger_ball(m, h, radius)
         want = reference_schutzenberger_ball(m, h, radius)
-        assert [sb.vertices, sb.lengths, sb.edges, sb.complete, sb.radius, sb.base] == [
-            want.vertices, want.lengths, want.edges, want.complete, want.radius, want.base]
+        assert [sb.vertices, sb.lengths, sb.edges, sb.complete] == list(want)
+        assert (sb.radius, sb.base) == (radius, h)
         yield sb
 
 
@@ -991,8 +1004,8 @@ def test_evidence_action_matches_fresh_schutzenberger_ball(monkeypatch, name, ra
     m = catalog.monoid(name)
     got = green.check_schutz_action_ball(m, radius)
     # the report as built from a second, separately built right ball
-    monkeypatch.setattr(cayley, "base_component", lambda ball, scc: reference_schutzenberger_ball(
-        ball.monoid, ball.monoid.identity, ball.radius))
+    monkeypatch.setattr(cayley, "base_component", lambda ball, scc: ball_of_lists(
+        m, ball.radius, m.identity, *reference_schutzenberger_ball(m, m.identity, ball.radius)))
     assert got == green.check_schutz_action_ball(m, radius)
 
 
@@ -1406,3 +1419,240 @@ def test_light_test_set_is_the_generators(name, make):
     # in BFS order T3's and T4's three generators come first and generate
     # the rest
     assert monoids._generating_set(as_table_monoid(make()).table, 0) == [1, 2, 3]
+
+
+# -- one breadth-first search behind every Cayley graph ---------------------------
+#
+# monoids.explore replaced four loops that each multiplied every vertex by
+# every generator.  The references below are those loops as they were: the
+# enumeration BFS, the Cayley ball builder, the Froidure-Pin pass of
+# FiniteMonoid and the inverse search of the product's group test.
+
+
+def reference_bfs_keys(m, radius, cap):
+    """Key-level BFS; returns ([(key, length)...], exhausted_flag)."""
+    start = m._identity_key
+    dist = {start: 0}
+    order = [(start, 0)]
+    gen_keys = m._gen_keys
+    i = 0
+    while i < len(order):
+        key, d = order[i]
+        i += 1
+        if radius is not None and d >= radius:
+            break
+        for gk in gen_keys:
+            nk = m._mul_key(key, gk)
+            if nk not in dist:
+                if len(dist) >= cap:
+                    raise CapExceeded(cap)
+                dist[nk] = d + 1
+                order.append((nk, d + 1))
+    return order, i >= len(order)
+
+
+def reference_ball_loop(m, radius, side=cayley.RIGHT, base=None, cap=monoids.DEFAULT_CAP):
+    """The ball builder's loop: (keys, lengths, edges, complete)."""
+    if base is None:
+        base = m.identity
+    gens = list(zip(m._gen_syms, m._gen_keys))
+    mul = m._mul_key
+    start = base.key
+    index = {start: 0}
+    vertices = [start]
+    lengths = [0]
+    edges = []
+    complete = []
+    i = 0
+    while i < len(vertices):
+        key = vertices[i]
+        d = lengths[i]
+        inside = True
+        for sym, gk in gens:
+            nk = mul(key, gk) if side == cayley.RIGHT else mul(gk, key)
+            t = index.get(nk)
+            if t is None:
+                if d >= radius:
+                    inside = False
+                    continue
+                if len(vertices) >= cap:
+                    raise CapExceeded(cap)
+                t = len(vertices)
+                index[nk] = t
+                vertices.append(nk)
+                lengths.append(d + 1)
+            edges.append((i, t, sym))
+        complete.append(inside)
+        i += 1
+    return vertices, lengths, edges, complete
+
+
+def reference_froidure_pin(monoid, cap=monoids.DEFAULT_CAP):
+    """FiniteMonoid's own pass: (keys, index, right, parent, last)."""
+    mul = monoid._mul_key
+    gen_keys = monoid._gen_keys
+    keys = [monoid._identity_key]
+    index = {keys[0]: 0}
+    parent = [0]
+    last = [0]
+    right = []
+    for key in keys:
+        row = []
+        for g, gk in enumerate(gen_keys):
+            nk = mul(key, gk)
+            j = index.get(nk)
+            if j is None:
+                if len(keys) >= cap:
+                    raise NotFinite("monoid not exhausted within cap %d" % cap)
+                j = index[nk] = len(keys)
+                keys.append(nk)
+                parent.append(len(right))
+                last.append(g)
+            row.append(j)
+        right.append(row)
+    return keys, index, right, parent, last
+
+
+def reference_is_group_elements(m, elements):
+    """True when every listed element has a two-sided inverse."""
+    keys = [x.key for x in elements]
+    e = m._identity_key
+    for a in keys:
+        if not any(m._mul_key(a, b) == e and m._mul_key(b, a) == e for b in keys):
+            return False
+    return True
+
+
+EXPLORED = [(name, make) for name, make, _radius in BALLS if name != "t3-full"] + GREEN_MONOIDS
+
+
+def explorations(m):
+    """(side, base, radius) on both sides, from the identity (as None and
+    as an Element) and from another element, at radii 0-4."""
+    gens = [g for _, g in m.generators()]
+    for side in (cayley.RIGHT, cayley.LEFT):
+        for base in (None, m.identity, m.multiply(gens[0], gens[-1])):
+            for radius in range(5):
+                yield side, base, radius
+
+
+def raised(call):
+    """(type, message) of the error call raises, or None."""
+    try:
+        call()
+    except (CapExceeded, NotFinite) as err:
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("name,make", EXPLORED, ids=[e[0] for e in EXPLORED])
+def test_explore_matches_the_ball_loop(name, make):
+    m = make()
+    syms = list(m.generator_symbols)
+    products = counting_products(m)
+    for side, base, radius in explorations(m):
+        keys, lengths, edges, complete = reference_ball_loop(m, radius, side, base)
+        del products[:]
+        table = monoids.explore(m, radius, side, base)
+        # one product per vertex and generator, boundary vertices included
+        assert len(products) == len(table.keys) * len(syms)
+        assert [table.keys, table.lengths] == [keys, lengths]
+        assert table.index == {k: i for i, k in enumerate(keys)}
+        # each vertex past the base is reached by the first edge into it
+        first = {}
+        for u, v, sym in edges:
+            first.setdefault(v, (u, syms.index(sym)))
+        assert list(zip(table.parent, table.last))[1:] == [first[v] for v in range(1, len(keys))]
+        ball = build_cayley_ball(m, radius, side, base)
+        assert [[x.key for x in ball.vertices], ball.lengths, ball.edges, ball.complete] == [
+            keys, lengths, edges, complete]
+        assert ball.out_adj == [[v for src, v, _sym in edges if src == u] for u in range(len(keys))]
+        assert [ball.index_of(x) for x in ball.vertices] == list(range(len(keys)))
+
+
+@pytest.mark.parametrize("name,make", EXPLORED, ids=[e[0] for e in EXPLORED])
+def test_enumeration_matches_the_bfs_keys_loop(name, make):
+    m = make()
+    for radius in range(5):
+        want, _exhausted = reference_bfs_keys(m, radius, monoids.DEFAULT_CAP)
+        got = monoids.enumerate_out_ball(m, radius)
+        assert [(le.element.key, le.length) for le in got] == want
+    for cap in (5, 400):
+        try:
+            ball, exhausted = reference_bfs_keys(m, None, cap)
+        except CapExceeded:
+            ball, exhausted = None, False
+        want = [k for k, _ in ball] if exhausted else None
+        got = enumerate_all(m, cap)
+        assert (got if got is None else [x.key for x in got]) == want
+
+
+@pytest.mark.parametrize("name,make", GREEN_MONOIDS, ids=[g[0] for g in GREEN_MONOIDS])
+def test_finite_monoid_matches_the_froidure_pin_loop(name, make):
+    m = make()
+    keys, index, right, parent, last = reference_froidure_pin(m)
+    products = counting_products(m)
+    fm = FiniteMonoid(m)
+    assert len(products) == len(keys) * len(m._gen_keys)
+    assert [fm.keys, fm.index, fm.right, fm._parent, fm._last] == [
+        keys, index, right, parent, last]
+    for side in (cayley.RIGHT, cayley.LEFT):
+        table = monoids.explore(m, side=side)
+        assert sorted(table.keys) == sorted(keys)
+        assert len(table.succ) == len(keys) and all(-1 not in row for row in table.succ)
+
+
+@pytest.mark.parametrize("name,make", EXPLORED, ids=[e[0] for e in EXPLORED])
+def test_caps_fail_as_the_loops_did(name, make):
+    m = make()
+    for side, base, radius in explorations(m):
+        size = len(monoids.explore(m, radius, side, base).keys)
+        assert len(build_cayley_ball(m, radius, side, base, cap=size)) == size
+        if size == 1:
+            # the base alone never meets the cap
+            continue
+        assert raised(lambda: build_cayley_ball(m, radius, side, base, cap=size - 1)) == raised(
+            lambda: reference_ball_loop(m, radius, side, base, cap=size - 1)) == (
+            CapExceeded, "enumeration exceeded cap of %d elements" % (size - 1))
+    for radius in range(5):
+        size = len(reference_bfs_keys(m, radius, monoids.DEFAULT_CAP)[0])
+        assert len(monoids.enumerate_out_ball(m, radius, cap=size)) == size
+        if size > 1:
+            assert raised(lambda: monoids.enumerate_out_ball(m, radius, cap=size - 1)) == raised(
+                lambda: reference_bfs_keys(m, radius, size - 1))
+    if name in dict(GREEN_MONOIDS):
+        size = len(reference_froidure_pin(m)[0])
+        assert len(FiniteMonoid(m, cap=size)) == size
+        assert raised(lambda: FiniteMonoid(m, cap=size - 1)) == raised(
+            lambda: reference_froidure_pin(m, cap=size - 1)) == (
+            NotFinite, "monoid not exhausted within cap %d" % (size - 1))
+
+
+@st.composite
+def groups_and_monoids(draw):
+    """Transformation monoids whose generators are often permutations."""
+    degree = draw(st.integers(2, 5))
+    maps = st.lists(st.integers(0, degree - 1), min_size=degree, max_size=degree)
+    images = st.one_of(st.permutations(range(degree)), maps)
+    gens = [("g%d" % i, list(draw(images))) for i in range(draw(st.integers(1, 3)))]
+    return TransformationMonoid(degree, gens)
+
+
+def test_product_group_test_matches_the_inverse_search():
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(groups_and_monoids())
+    def check(m):
+        order, _ = reference_bfs_keys(m, None, monoids.GROUP_PROBE_CAP)
+        want = reference_is_group_elements(m, [monoids.Element(m, k) for k, _ in order])
+        pm = monoids.ProductMonoid(catalog.monoid("z2"), m)
+        assert pm.right_is_group == want
+        seen.add(want)
+
+    check()
+    assert seen == {True, False}
+    # a finite factor past the probe cap is not taken for a group
+    t6 = TransformationMonoid(6, [("s", [1, 2, 3, 4, 5, 0]), ("t", [1, 0, 2, 3, 4, 5]),
+                                  ("e", [0, 0, 2, 3, 4, 5])])
+    assert not monoids.ProductMonoid(catalog.monoid("z2"), t6).right_is_group
