@@ -77,15 +77,28 @@ def format_rational(q):
     return str(q)
 
 
+def _list_entry(desc, key, what):
+    if key not in desc:
+        raise ValueError("%s description has no %r entry" % (what, key))
+    value = desc[key]
+    if not isinstance(value, list):
+        raise ValueError("%s %r entry %r is not a list" % (what, key, value))
+    return value
+
+
 def load_space(desc):
-    points = [str(p) for p in desc["points"]]
+    if not isinstance(desc, dict):
+        raise ValueError("space description %r is not an object" % (desc,))
+    points = [str(p) for p in _list_entry(desc, "points", "space")]
     seen = set()
     for name in points:
         if name in seen:
             raise ValueError("duplicate point name %r" % name)
         seen.add(name)
-    rows = desc["dist"]
-    if len(rows) != len(points) or any(len(r) != len(points) for r in rows):
+    rows = _list_entry(desc, "dist", "space")
+    if len(rows) != len(points) or any(
+        not isinstance(r, list) or len(r) != len(points) for r in rows
+    ):
         raise ValueError("dist matrix must be %d x %d" % (len(points), len(points)))
     # parsed as make_space consumes them, so a bad entry is reported in
     # matrix order whether it fails parsing or the nonnegativity check
@@ -113,7 +126,9 @@ def dump_space(space):
 def load_point_map(desc, source, target):
     """A point map as a list of target point names, one per source point."""
     if isinstance(desc, dict):
-        desc = desc["map"]
+        desc = _list_entry(desc, "map", "map")
+    elif not isinstance(desc, list):
+        raise ValueError("map description %r is not a list or an object" % (desc,))
     if len(desc) != len(source.points):
         raise ValueError(
             "map must list %d target points, got %d" % (len(source.points), len(desc))
@@ -121,7 +136,7 @@ def load_point_map(desc, source, target):
     index = {p: i for i, p in enumerate(target.points)}
     out = []
     for name in desc:
-        if name not in index:
+        if not isinstance(name, str) or name not in index:
             raise ValueError("unknown target point %r" % name)
         out.append(index[name])
     return tuple(out)

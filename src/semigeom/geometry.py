@@ -30,7 +30,6 @@ Epsilon is required positive by the definitions; checks accept epsilon = 0
 and reports then label the claim isometric-grade.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
@@ -38,6 +37,7 @@ from math import lcm
 from operator import add, gt, sub
 
 from . import cayley
+from ._records import field, record
 from .distances import INF, INFINITE, ExtDist, beyond, finite, scaled_rows
 from .errors import (
     CapExceeded,
@@ -47,7 +47,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     # "diagonal" | "positivity" | "triangle", and for ball rows also
     # "range" | "edge" | "parent" | "infinity" (see certify_ball_rows)
@@ -277,7 +277,7 @@ def quasi_metricity_lambda(space, eps=0):
     return Fraction(num, den)
 
 
-@dataclass
+@record
 class QiConstants:
     lam: Fraction
     eps: Fraction
@@ -289,14 +289,14 @@ class QiConstants:
         self.mu = Fraction(self.mu)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PairViolation:
     x: int
     y: int
     side: str  # "lower" | "upper"
 
 
-@dataclass
+@record
 class EmbeddingReport:
     ok: bool
     violation: object
@@ -370,7 +370,7 @@ def quasi_density(f, source, target):
     return finite(Fraction(worst, scale))
 
 
-@dataclass
+@record
 class QiReport:
     ok: bool
     embedding: EmbeddingReport
@@ -388,7 +388,7 @@ def check_quasi_isometry(f, source, target, constants):
 # -- symmetrization -----------------------------------------------------------
 
 
-@dataclass
+@record
 class SymmetrizeResult:
     space: Space
     lam: Fraction
@@ -463,7 +463,7 @@ def eps_grid(eps_max):
     return out
 
 
-@dataclass
+@record
 class SearchResult:
     point_map: tuple
     constants: QiConstants
@@ -630,7 +630,7 @@ def _congruence_witness(fm, class_of):
     raise AssertionError("generator translations disagree but no pair does")
 
 
-@dataclass
+@record
 class QuotientReport:
     ok: bool
     r_bound: ExtDist
@@ -703,7 +703,7 @@ def check_quotient_qi(fm, class_of):
     )
 
 
-@dataclass
+@record
 class ProjectionReport:
     ok: bool
     r_bound: ExtDist

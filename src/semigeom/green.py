@@ -20,10 +20,10 @@ mode works inside a radius-r ball instead and never claims more than the
 ball shows.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import cayley
+from ._records import field, record
 from .errors import CapExceeded, NotAnHClass, NotFinite, NotGenerating, ProvedInfinite
 # enumerate_all is unused here; perfbench/selftest.py checks the tracer
 # rebinds this from-import
@@ -124,7 +124,7 @@ class FiniteMonoid:
         return self._green
 
 
-@dataclass
+@record
 class GreenStructure:
     """R/L/H partitions (lists of sorted index lists, ordered by least
     member) plus the full R-order as comparable class pairs."""
@@ -274,7 +274,7 @@ class _RClassGeometry:
         return [v for v in range(len(self.vertices)) if d[v] <= radius]
 
 
-@dataclass
+@record
 class ActionReport:
     exact: bool
     group_order: int
@@ -472,7 +472,7 @@ def check_schutz_action_ball(m, radius, cap=DEFAULT_CAP):
 # -- Svarc-Milnor generating sets ---------------------------------------------
 
 
-@dataclass
+@record
 class SvarcReport:
     s_indices: list
     s_names: list

@@ -10,8 +10,8 @@ as its horizon stamp.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._records import record
 from .cayley import build_cayley_ball
 from .errors import CapExceeded
 from .monoids import DEFAULT_CAP, RewritingMonoid, enumerate_out_ball
@@ -21,7 +21,7 @@ from .rewriting import LeftSideAutomaton
 FIT_THRESHOLD = 0.05
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GrowthSequence:
     values: tuple  # values[m] = |B(m)|, m = 0 .. window
     label: str = ""
@@ -65,7 +65,7 @@ def growth_sequence(m, mmax, cap=DEFAULT_CAP):
     return GrowthSequence(tuple(values), label=str(m.description()))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Witness:
     lam: int
     c: int
@@ -98,17 +98,17 @@ def dominates_within(a1, a2, lam_max, c_max):
     return None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Polynomial:
     degree: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Exponential:
     base: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Inconclusive:
     reason: str = ""
 
@@ -175,17 +175,17 @@ def classify_growth(a):
     return Inconclusive("best fit residual %.3f over threshold" % exp_res)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Stable:
     count: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GrowingAtLeast:
     counts: tuple
 
 
-@dataclass
+@record
 class EndsProfile:
     inner_radii: tuple
     outer_radius: int

@@ -11,7 +11,6 @@ over the ordered generator list is canonical on every ball.
 
 from collections import namedtuple
 from collections.abc import Hashable
-from typing import NamedTuple
 
 from .errors import BackendMismatch, CapExceeded, UnknownSymbol
 from .rewriting import LeftSideAutomaton, RewritingSystem, format_word, parse_word
@@ -49,9 +48,7 @@ class Element:
         return "<%s>" % self.monoid.element_name(self)
 
 
-class LengthedElement(NamedTuple):
-    element: Element
-    length: int
+LengthedElement = namedtuple("LengthedElement", "element length")
 
 
 class Monoid:

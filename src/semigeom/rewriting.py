@@ -9,8 +9,7 @@ that fail the check are reported with an explicit witness peak rather than
 completed.
 """
 
-from dataclasses import dataclass
-
+from ._records import record
 from .errors import UnknownSymbol
 
 Word = tuple
@@ -37,13 +36,13 @@ def format_word(word, sep=""):
     return sep.join(word)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rule:
     lhs: Word
     rhs: Word
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConfluenceFailure:
     """A critical peak whose two reducts normalize to distinct words."""
 

@@ -7,9 +7,13 @@ timing and is only checked structurally.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import semigeom
 from semigeom import catalog, cayley, descriptions
 from semigeom.cli import main
 from semigeom.distances import finite
@@ -596,6 +600,36 @@ def test_bad_monoid_descriptions_exit_2(capsys, tmp_path, desc, reason):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("desc, reason", [
+    ([1, 2], "space description [1, 2] is not an object"),
+    ({"dist": []}, "space description has no 'points' entry"),
+    ({"points": ["u"]}, "space description has no 'dist' entry"),
+    ({"points": 3, "dist": []}, "space 'points' entry 3 is not a list"),
+    ({"points": ["u"], "dist": 5}, "space 'dist' entry 5 is not a list"),
+    ({"points": ["u"], "dist": [5]}, "dist matrix must be 1 x 1"),
+], ids=["not-an-object", "no-points", "no-dist", "points-int", "dist-int", "row-int"])
+def test_bad_space_descriptions_exit_2(capsys, tmp_path, desc, reason):
+    # each once ended in a traceback or in a bare key such as error: 'points'
+    path = write_json(tmp_path, "bad.space", desc)
+    code, out, err = run(capsys, "quasimetric", "--source", path)
+    assert code == 2 and out == ""
+    assert ("error: %s\n" % reason) in err
+
+
+@pytest.mark.parametrize("desc, reason", [
+    (7, "map description 7 is not a list or an object"),
+    ({"points": ["u", "v"]}, "map description has no 'map' entry"),
+    ({"map": "uv"}, "map 'map' entry 'uv' is not a list"),
+    (["u", ["v"]], "unknown target point ['v']"),
+], ids=["int", "no-map", "map-string", "list-point"])
+def test_bad_point_maps_exit_2(capsys, tmp_path, sym2, desc, reason):
+    fmap = write_json(tmp_path, "bad.map", desc)
+    code, out, err = run(capsys, "qi-check", "--source", sym2, "--target", sym2,
+                         "--map", fmap, "--lambda", "1", "--epsilon", "0", "--mu", "0")
+    assert code == 2 and out == ""
+    assert ("error: %s\n" % reason) in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "bogus")
     assert code == 2
@@ -768,3 +802,16 @@ def test_finite_rewriting_monoid_beyond_the_probe_cap(capsys, tmp_path):
     code, _, err = run(capsys, "green", "--monoid", z5, "--cap", "4")
     assert code == 2
     assert "(raise --cap or use an evidence-mode command)" in err
+
+
+def test_cold_import_stays_light():
+    # -S: site preloads nothing, so every module listed was loaded by semigeom;
+    # importing dataclasses, which imports inspect, took about 15 ms of a cold
+    # CLI call (Python 3.11, measured with -X importtime)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semigeom.__file__)))
+    code = ("import sys; sys.path.insert(0, %r); import semigeom, semigeom.cli; "
+            "semigeom.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))" % src)
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_space
-from semigeom import catalog, cayley, geometry, green
+from semigeom import catalog, cayley, geometry, green, growth, rewriting
 from semigeom.distances import INFINITE, ZERO, beyond, finite
 from semigeom.errors import (
     CapExceeded,
@@ -490,3 +490,96 @@ def test_projection_cap():
     pm = catalog.product("integers", "z2")
     with pytest.raises(CapExceeded):
         check_product_projection_qi(pm, 4, cap=10)
+
+
+# -- record classes ----------------------------------------------------------------------
+
+# every record class of the package, frozen or not
+RECORDS = [
+    (geometry.Violation, True), (geometry.PairViolation, True),
+    (geometry.QiConstants, False), (geometry.EmbeddingReport, False),
+    (geometry.QiReport, False), (geometry.SymmetrizeResult, False),
+    (geometry.SearchResult, False), (geometry.QuotientReport, False),
+    (geometry.ProjectionReport, False),
+    (green.GreenStructure, False), (green.ActionReport, False),
+    (green.SvarcReport, False),
+    (growth.GrowthSequence, True), (growth.Witness, True),
+    (growth.Polynomial, True), (growth.Exponential, True),
+    (growth.Inconclusive, True), (growth.Stable, True),
+    (growth.GrowingAtLeast, True), (growth.EndsProfile, False),
+    (rewriting.Rule, True), (rewriting.ConfluenceFailure, True),
+]
+
+
+def record_values(cls, tag):
+    names = list(cls.__annotations__)
+    if cls is QiConstants:
+        return names, [tag + i for i in range(len(names))]
+    return names, [("%s%d" % (tag, i),) for i in range(len(names))]
+
+
+@pytest.mark.parametrize("cls, frozen", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+def test_record_semantics(cls, frozen):
+    names, values = record_values(cls, 1)
+    a = cls(*values)
+    assert a == cls(**dict(zip(names, values)))
+    assert a != cls(*record_values(cls, 2)[1])
+    assert [getattr(a, n) for n in names] == values
+    assert repr(a) == "%s(%s)" % (cls.__name__, ", ".join(
+        "%s=%r" % (n, getattr(a, n)) for n in names))
+    if frozen:
+        assert hash(a) == hash(cls(*values))
+        for change in (lambda: setattr(a, names[0], None),
+                       lambda: delattr(a, names[0]),
+                       lambda: setattr(a, "other", None)):
+            with pytest.raises(AttributeError):
+                change()
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, names[0], None)
+        assert getattr(a, names[0]) is None
+
+
+def test_record_equality_needs_the_same_class():
+    assert growth.Polynomial(2) != growth.Stable(2)
+    assert not growth.Polynomial(2) == growth.Stable(2)
+    assert growth.Polynomial(2) != growth.Exponential(2.0)
+    assert growth.Polynomial(2) == growth.Polynomial(2.0)
+    assert geometry.Violation("diagonal", (1,)) != ("diagonal", (1,))
+    assert len({growth.Stable(2), growth.Stable(2), growth.Polynomial(2)}) == 2
+
+
+def test_record_reprs_and_defaults():
+    assert repr(geometry.Violation("diagonal", (1,))) == "Violation(kind='diagonal', points=(1,))"
+    assert repr(growth.Exponential(2.0)) == "Exponential(base=2.0)"
+    assert repr(QiConstants(2, "1/2", 0)) == (
+        "QiConstants(lam=Fraction(2, 1), eps=Fraction(1, 2), mu=Fraction(0, 1))")
+    assert growth.GrowthSequence((1, 2)).label == ""
+    assert growth.Inconclusive() == growth.Inconclusive("")
+    with pytest.raises(TypeError):
+        growth.Polynomial()
+    with pytest.raises(TypeError):
+        growth.Polynomial(1, 2)
+    with pytest.raises(TypeError):
+        growth.Polynomial(1, degree=1)
+    with pytest.raises(TypeError):
+        growth.Polynomial(dgree=1)
+
+
+def test_qi_constants_coerce_to_fractions():
+    c = QiConstants(2, "3/4", Fraction(1, 3))
+    assert (c.lam, c.eps, c.mu) == (Fraction(2), Fraction(3, 4), Fraction(1, 3))
+    assert all(type(v) is Fraction for v in (c.lam, c.eps, c.mu))
+    assert c == QiConstants(Fraction(2), Fraction(3, 4), "1/3")
+
+
+@pytest.mark.parametrize("cls", [geometry.QuotientReport, geometry.ProjectionReport,
+                                 green.ActionReport], ids=lambda c: c.__name__)
+def test_record_notes_are_fresh_per_instance(cls):
+    n = len(cls.__annotations__) - 1
+    a, b = cls(*range(n)), cls(*range(n))
+    assert a.notes == [] and b.notes == [] and a.notes is not b.notes
+    a.notes.append("x")
+    assert b.notes == [] and cls(*range(n)).notes == []
+    assert cls(*range(n), notes=["y"]).notes == ["y"]
