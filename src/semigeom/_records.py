@@ -30,7 +30,9 @@ def record(cls=None, *, frozen=False):
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
     name = cls.__qualname__
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    # the class's own annotations (since Python 3.10 never its bases'), which
+    # Python 3.14 evaluates lazily on this first read
+    names = tuple(cls.__annotations__)
     defaults = {}
     for f in names:
         if f in cls.__dict__:

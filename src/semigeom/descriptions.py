@@ -22,11 +22,12 @@ def load_monoid(desc):
     if not isinstance(desc, dict):
         raise ValueError("monoid description %r is not an object" % (desc,))
     kind = desc.get("kind")
+    what = "%s monoid" % kind
     if kind == "rewriting":
-        alphabet = list(_entry(desc, "alphabet"))
+        alphabet = list(_entry(desc, "alphabet", what))
         rules = [
             (parse_word(lhs, alphabet), parse_word(rhs, alphabet))
-            for lhs, rhs in _entry(desc, "rules")
+            for lhs, rhs in _entry(desc, "rules", what)
         ]
         system = RewritingSystem(alphabet, rules)
         if not system.is_complete:
@@ -37,26 +38,26 @@ def load_monoid(desc):
             )
         return RewritingMonoid(system, desc.get("extra_generators", ()))
     if kind == "transformation":
-        gens = _entry(desc, "generators")
+        gens = _entry(desc, "generators", what)
         if isinstance(gens, dict):
             gens = sorted(gens.items())
-        return TransformationMonoid(_entry(desc, "degree"), gens)
+        return TransformationMonoid(_entry(desc, "degree", what), gens)
     if kind == "table":
         return TableMonoid.from_semigroup(
-            _entry(desc, "elements"),
-            _entry(desc, "table"),
+            _entry(desc, "elements", what),
+            _entry(desc, "table", what),
             identity=desc.get("identity"),
             generator_names=desc.get("generators"),
         )
     if kind == "product":
-        return ProductMonoid(load_monoid(_entry(desc, "left")),
-                             load_monoid(_entry(desc, "right")))
+        return ProductMonoid(load_monoid(_entry(desc, "left", what)),
+                             load_monoid(_entry(desc, "right", what)))
     raise ValueError("unknown monoid kind %r" % kind)
 
 
-def _entry(desc, key):
+def _entry(desc, key, what):
     if key not in desc:
-        raise ValueError("%s monoid description has no %r entry" % (desc["kind"], key))
+        raise ValueError("%s description has no %r entry" % (what, key))
     return desc[key]
 
 
@@ -78,9 +79,7 @@ def format_rational(q):
 
 
 def _list_entry(desc, key, what):
-    if key not in desc:
-        raise ValueError("%s description has no %r entry" % (what, key))
-    value = desc[key]
+    value = _entry(desc, key, what)
     if not isinstance(value, list):
         raise ValueError("%s %r entry %r is not a list" % (what, key, value))
     return value

@@ -805,13 +805,28 @@ def test_finite_rewriting_monoid_beyond_the_probe_cap(capsys, tmp_path):
 
 
 def test_cold_import_stays_light():
-    # -S: site preloads nothing, so every module listed was loaded by semigeom;
-    # importing dataclasses, which imports inspect, took about 15 ms of a cold
-    # CLI call (Python 3.11, measured with -X importtime)
+    # -S: site preloads nothing, so every module listed was loaded by the code
+    # run; importing dataclasses, which imports inspect, took about 15 ms of a
+    # cold CLI call (Python 3.11, measured with -X importtime)
     src = os.path.dirname(os.path.dirname(os.path.abspath(semigeom.__file__)))
-    code = ("import sys; sys.path.insert(0, %r); import semigeom, semigeom.cli; "
-            "semigeom.cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))" % src)
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout == "[]\n"
+    heavy = "sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))"
+
+    def loaded(code):
+        done = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys; sys.path.insert(0, %r); %s; print(%s)" % (src, code, heavy)],
+            capture_output=True, text=True, timeout=60, check=True)
+        return done.stdout
+
+    modules = sorted(f[:-3] for f in os.listdir(os.path.dirname(semigeom.__file__))
+                     if f.endswith(".py") and f not in ("cli.py", "__main__.py"))
+    assert "_records" in modules and "geometry" in modules
+    assert loaded("import " + ", ".join("semigeom." + m for m in modules)) == "[]\n"
+    # argparse itself may load some of them: from Python 3.14 its help
+    # formatter, which add_subparsers and add_argument build, imports
+    # _colorize and so dataclasses; the CLI may load nothing more than that
+    bare = loaded("import argparse; p = argparse.ArgumentParser(prog='p'); "
+                  "p.add_subparsers(dest='c').add_parser('x').add_argument('--y')")
+    if sys.version_info < (3, 14):
+        assert bare == "[]\n"
+    assert loaded("import semigeom, semigeom.cli; semigeom.cli.build_parser()") == bare
