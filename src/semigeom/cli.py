@@ -17,9 +17,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import catalog, cayley, descriptions, geometry, green, growth
-from .distances import finite
+from . import descriptions
 from .errors import (
+    DEFAULT_CAP,
+    PROBE_CAP,
     CapExceeded,
     NotACongruence,
     NotFinite,
@@ -28,7 +29,6 @@ from .errors import (
     ProvedInfinite,
     SemigeomError,
 )
-from .monoids import DEFAULT_CAP, ProductMonoid
 
 DEFAULT_RADIUS = 64
 SEARCH_CAP = 10
@@ -41,6 +41,8 @@ def _load_json(path):
 
 def _load_monoid(value):
     """A description file path, or a built-in catalog name."""
+    from . import catalog
+
     if not os.path.exists(value) and value in catalog.names():
         return catalog.monoid(value)
     return descriptions.load_monoid(_load_json(value))
@@ -90,6 +92,8 @@ def _say(line=""):
 
 
 def cmd_ball(args):
+    from . import cayley
+
     m = _load_monoid(args.monoid)
     ball = cayley.build_cayley_ball(m, args.radius, cap=args.cap)
     if args.format == "dot":
@@ -105,6 +109,8 @@ def cmd_ball(args):
 
 
 def cmd_dist(args):
+    from . import cayley
+
     m = _load_monoid(args.monoid)
     source = m.parse_element(args.source)
     target = m.parse_element(args.target)
@@ -125,6 +131,8 @@ def cmd_dist(args):
 
 
 def cmd_poset(args):
+    from . import cayley
+
     m = _load_monoid(args.monoid)
     ball = cayley.build_cayley_ball(m, args.radius, cap=args.cap)
     scc = cayley.strongly_connected_components(ball)
@@ -147,6 +155,8 @@ def cmd_poset(args):
 
 
 def cmd_green(args):
+    from . import green
+
     fm = green.FiniteMonoid(_load_monoid(args.monoid), cap=args.cap)
     gs = fm.green()
     _say("elements: %d" % len(fm))
@@ -166,6 +176,8 @@ def cmd_green(args):
 
 
 def cmd_schutz(args):
+    from . import cayley, green
+
     m = _load_monoid(args.monoid)
     h = m.parse_element(args.element) if args.element else m.identity
     try:
@@ -222,6 +234,8 @@ def _print_action(report):
 
 
 def cmd_act(args):
+    from . import green
+
     m = _load_monoid(args.monoid)
     h = m.parse_element(args.element) if args.element else None
     report = green.check_schutz_action(
@@ -231,6 +245,8 @@ def cmd_act(args):
 
 
 def cmd_svarc(args):
+    from . import green
+
     m = _load_monoid(args.monoid)
     fm = green.FiniteMonoid(m, cap=args.cap)
     gs = fm.green()
@@ -256,6 +272,8 @@ def cmd_svarc(args):
 
 
 def cmd_growth(args):
+    from . import growth
+
     m = _load_monoid(args.monoid)
     seq = growth.growth_sequence(m, args.mmax, cap=args.cap)
     if args.other is None:
@@ -284,6 +302,8 @@ def cmd_growth(args):
 
 
 def cmd_ends(args):
+    from . import growth
+
     m = _load_monoid(args.monoid)
     profile = growth.ends_profile(m, args.kmax, args.radius, cap=args.cap)
     _say("horizon: %d" % profile.horizon)
@@ -302,6 +322,8 @@ def cmd_ends(args):
 
 
 def cmd_qi_check(args):
+    from . import geometry
+
     source = _load_space(args.source)
     target = _load_space(args.target)
     f = descriptions.load_point_map(_load_json(args.map), source, target)
@@ -327,6 +349,8 @@ def cmd_qi_check(args):
 
 
 def cmd_qi_search(args):
+    from . import geometry
+
     source = _load_space(args.source)
     target = _load_space(args.target)
     found = geometry.search_quasi_isometry(
@@ -349,6 +373,8 @@ def cmd_qi_search(args):
 
 
 def cmd_quasimetric(args):
+    from . import geometry
+
     space = _load_space(args.source)
     lam = geometry.quasi_metricity_lambda(space, args.epsilon)
     if lam is None:
@@ -363,12 +389,20 @@ def cmd_quasimetric(args):
 
 
 def cmd_symmetrize(args):
+    from . import geometry
+
     space = _load_space(args.source)
     try:
         result = geometry.symmetrize(space, args.epsilon)
     except NotStronglyConnected:
         _say("verdict: not-strongly-connected")
         return 1
+    payload = json.dumps(descriptions.dump_space(result.space), indent=2)
+    if args.out:
+        # written before the report, so a path that cannot be written
+        # fails with nothing on stdout
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
     _say("lambda: %s" % _fmt(result.lam))
     _say("epsilon: %s" % _fmt(result.eps))
     _say("lambda-prime: %s" % _fmt(result.forward.lam))
@@ -379,11 +413,7 @@ def cmd_symmetrize(args):
     _say("backward-ok: %s" % _yes(result.backward_ok))
     ok = result.metric_ok and result.forward_ok and result.backward_ok
     _say("verdict: %s" % ("ok" if ok else "fail"))
-    payload = json.dumps(descriptions.dump_space(result.space), indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
+    if not args.out:
         _say(payload)
     return 0 if ok else 1
 
@@ -414,6 +444,9 @@ def _class_of(fm, data):
 
 
 def cmd_quotient(args):
+    from . import geometry, green
+    from .monoids import ProductMonoid
+
     m = _load_monoid(args.monoid)
     if args.projection:
         if not isinstance(m, ProductMonoid):
@@ -498,7 +531,7 @@ def build_parser():
     p.add_argument("--radius", type=_count, default=8)
     p.add_argument("--format", choices=["table", "dot"], default="table")
     p.add_argument("--probe-cap", dest="probe_cap", type=_count,
-                   default=green.PROBE_CAP,
+                   default=PROBE_CAP,
                    help="finiteness probe limit before evidence mode")
 
     p = add("act", cmd_act, help="check the Schutzenberger group action")
@@ -506,7 +539,7 @@ def build_parser():
     p.add_argument("--element", default=None)
     p.add_argument("--radius", type=_count, default=8)
     p.add_argument("--probe-cap", dest="probe_cap", type=_count,
-                   default=green.PROBE_CAP,
+                   default=PROBE_CAP,
                    help="finiteness probe limit before evidence mode")
 
     p = add("svarc", cmd_svarc, help="extract generators from a group action")

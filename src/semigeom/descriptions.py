@@ -8,17 +8,17 @@ associativity), so a loaded backend is always in a valid state.
 
 from fractions import Fraction
 
-from . import geometry
-from .monoids import (
-    ProductMonoid,
-    RewritingMonoid,
-    TableMonoid,
-    TransformationMonoid,
-)
-from .rewriting import RewritingSystem, parse_word
-
 
 def load_monoid(desc):
+    # imported on use: the CLI parser needs only parse_rational, not the backends
+    from .monoids import (
+        ProductMonoid,
+        RewritingMonoid,
+        TableMonoid,
+        TransformationMonoid,
+    )
+    from .rewriting import RewritingSystem, parse_word
+
     if not isinstance(desc, dict):
         raise ValueError("monoid description %r is not an object" % (desc,))
     kind = desc.get("kind")
@@ -86,11 +86,15 @@ def _list_entry(desc, key, what):
 
 
 def load_space(desc):
+    from .geometry import make_space
+
     if not isinstance(desc, dict):
         raise ValueError("space description %r is not an object" % (desc,))
-    points = [str(p) for p in _list_entry(desc, "points", "space")]
+    points = _list_entry(desc, "points", "space")
     seen = set()
-    for name in points:
+    for i, name in enumerate(points):
+        if not isinstance(name, str):
+            raise ValueError("space point %d is %r, not a string" % (i, name))
         if name in seen:
             raise ValueError("duplicate point name %r" % name)
         seen.add(name)
@@ -104,7 +108,7 @@ def load_space(desc):
     matrix = (
         (None if v is None else parse_rational(v) for v in row) for row in rows
     )
-    return geometry.make_space(points, matrix)
+    return make_space(points, matrix)
 
 
 def dump_space(space):

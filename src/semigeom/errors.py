@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration caps
+that CapExceeded and NotFinite enforce."""
+
+# elements one enumeration may reach before CapExceeded
+DEFAULT_CAP = 10**6
+
+# finiteness probes stop here by default: proving a monoid finite means
+# exhausting it, which is pointlessly slow when the caller only wants an
+# evidence-mode fallback
+PROBE_CAP = 4096
 
 
 class SemigeomError(Exception):

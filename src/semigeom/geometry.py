@@ -36,10 +36,10 @@ from itertools import compress, repeat
 from math import lcm
 from operator import add, gt, sub
 
-from . import cayley
 from ._records import field, record
 from .distances import INF, INFINITE, ExtDist, beyond, finite, scaled_rows
 from .errors import (
+    DEFAULT_CAP,
     CapExceeded,
     InvalidSpace,
     NotACongruence,
@@ -588,12 +588,14 @@ def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
 def monoid_space(fm):
     """The whole finite monoid as a space under right Cayley distances,
     with the BFS depths as its rows on scale 1."""
+    from .cayley import bfs
+
     n = len(fm)
     # a depth is below n; index -1 (unreached) is the last slot
     lookup = list(range(n)) + [INF]
     rows = []
     for s in range(n):
-        depth = cayley.bfs(fm.right, s)[0]
+        depth = bfs(fm.right, s)[0]
         rows.append(list(map(lookup.__getitem__, depth)) if -1 in depth else depth)
     return Space(fm.names, decoded=(1, rows))
 
@@ -714,19 +716,17 @@ class ProjectionReport:
     notes: list = field(default_factory=list)
 
 
-def check_product_projection_qi(pm, radius, cap=None):
+def check_product_projection_qi(pm, radius, cap=DEFAULT_CAP):
     """Horizon-stamped evidence that projecting a product monoid onto its
     left factor is a (1, R, 0)-quasi-isometry, compared at equal radii.
 
     R is the largest decisive fiber diameter seen in the ball; pairs the
     ball cannot decide are skipped and counted.
     """
-    from .monoids import DEFAULT_CAP
+    from .cayley import build_cayley_ball
 
-    if cap is None:
-        cap = DEFAULT_CAP
-    prod_ball = cayley.build_cayley_ball(pm, radius, cap=cap)
-    left_ball = cayley.build_cayley_ball(pm.left, radius, cap=cap)
+    prod_ball = build_cayley_ball(pm, radius, cap=cap)
+    left_ball = build_cayley_ball(pm.left, radius, cap=cap)
     phi = []
     fibers = {}
     for i, v in enumerate(prod_ball.vertices):

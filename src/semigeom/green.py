@@ -24,16 +24,18 @@ from functools import cached_property
 
 from . import cayley
 from ._records import field, record
-from .errors import CapExceeded, NotAnHClass, NotFinite, NotGenerating, ProvedInfinite
+from .errors import (
+    PROBE_CAP,
+    CapExceeded,
+    NotAnHClass,
+    NotFinite,
+    NotGenerating,
+    ProvedInfinite,
+)
 # enumerate_all is unused here; perfbench/selftest.py checks the tracer
 # rebinds this from-import
 from .monoids import DEFAULT_CAP, Element, enumerate_all, proved_infinite  # noqa: F401
 from .monoids import explore
-
-# finiteness probes stop here by default: proving a monoid finite means
-# exhausting it, which is pointlessly slow when the caller only wants an
-# evidence-mode fallback
-PROBE_CAP = 4096
 
 
 class FiniteMonoid:
@@ -334,12 +336,16 @@ def check_schutz_action_finite(fm, h_class, radius=8):
         if counterexample:
             break
 
+    # from the base's eccentricity on, ball(rho) is the whole R-class, so
+    # the count repeats there
+    eccentricity = max(geo.dist[geo.base])
     sizes = []
     for rho in range(1, radius + 1):
-        ball = set(geo.out_ball(rho))
-        meets = sum(
-            1 for perm in geo.vperms if any(perm[v] in ball for v in ball)
-        )
+        if rho <= eccentricity or rho == 1:
+            ball = set(geo.out_ball(rho))
+            meets = sum(
+                1 for perm in geo.vperms if any(perm[v] in ball for v in ball)
+            )
         sizes.append((rho, meets))
 
     h_ids = sorted(set(geo.h_of_vertex))

@@ -12,10 +12,8 @@ over the ordered generator list is canonical on every ball.
 from collections import namedtuple
 from collections.abc import Hashable
 
-from .errors import BackendMismatch, CapExceeded, UnknownSymbol
+from .errors import DEFAULT_CAP, BackendMismatch, CapExceeded, UnknownSymbol
 from .rewriting import LeftSideAutomaton, RewritingSystem, format_word, parse_word
-
-DEFAULT_CAP = 10**6
 
 RIGHT = "right"
 LEFT = "left"

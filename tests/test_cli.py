@@ -6,6 +6,7 @@ stability (tables, DOT, verdict blocks); stderr carries the echo line and
 timing and is only checked structurally.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -409,6 +410,14 @@ def test_symmetrize_to_file(capsys, tmp_path, line5):
     assert space.d(0, 4) == finite(5)
 
 
+def test_symmetrize_to_unwritable_file_prints_nothing(capsys, tmp_path, sym2):
+    # the whole report once went to stdout before the file failed to open
+    out_path = tmp_path / "missing" / "sym.space"
+    code, out, err = run(capsys, "symmetrize", "--source", sym2, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert "error: [Errno 2] No such file or directory" in err
+
+
 def test_symmetrize_not_strongly_connected(capsys, chain):
     code, out, _ = run(capsys, "symmetrize", "--source", chain)
     assert code == 1
@@ -607,7 +616,10 @@ def test_bad_monoid_descriptions_exit_2(capsys, tmp_path, desc, reason):
     ({"points": 3, "dist": []}, "space 'points' entry 3 is not a list"),
     ({"points": ["u"], "dist": 5}, "space 'dist' entry 5 is not a list"),
     ({"points": ["u"], "dist": [5]}, "dist matrix must be 1 x 1"),
-], ids=["not-an-object", "no-points", "no-dist", "points-int", "dist-int", "row-int"])
+    ({"points": [None, [1], {"a": 2}], "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+     "space point 0 is None, not a string"),
+], ids=["not-an-object", "no-points", "no-dist", "points-int", "dist-int", "row-int",
+        "point-not-a-string"])
 def test_bad_space_descriptions_exit_2(capsys, tmp_path, desc, reason):
     # each once ended in a traceback or in a bare key such as error: 'points'
     path = write_json(tmp_path, "bad.space", desc)
@@ -830,3 +842,128 @@ def test_cold_import_stays_light():
     if sys.version_info < (3, 14):
         assert bare == "[]\n"
     assert loaded("import semigeom, semigeom.cli; semigeom.cli.build_parser()") == bare
+
+
+# -- lazy imports ------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(semigeom.__file__)))
+MODULES = sorted(f[:-3] for f in os.listdir(os.path.dirname(semigeom.__file__))
+                 if f.endswith(".py") and f not in ("__init__.py", "__main__.py"))
+COLD = ["cli", "descriptions", "errors", "semigeom"]
+
+COMMANDS = ("ball", "dist", "poset", "green", "schutz", "act", "svarc", "growth",
+            "ends", "qi-check", "qi-search", "quasimetric", "symmetrize", "quotient")
+
+
+def fresh(code):
+    """(exit code, stdout, stderr, semigeom modules loaded) of running code
+    in a fresh interpreter; -S, so site preloads nothing."""
+    script = (
+        "import sys\nsys.path.insert(0, %r)\ncode = 0\n%s\n"
+        "print(' '.join(m.partition('.')[2] or m for m in sys.modules"
+        " if m.partition('.')[0] == 'semigeom'), file=sys.stderr)\n"
+        "sys.exit(code)\n" % (SRC, code))
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    *err, modules = done.stderr.splitlines(keepends=True)
+    return done.returncode, done.stdout, "".join(err), sorted(modules.split())
+
+
+def first_call(argv):
+    return fresh("from semigeom.cli import main\ncode = main(%r)" % (argv,))
+
+
+def command_lines(tmp_path):
+    """One call of each command, by command name."""
+    sym2 = write_json(tmp_path, "sym2.space",
+                      {"points": ["u", "v"], "dist": [[0, 1], [1, 0]]})
+    line3 = write_json(tmp_path, "line3.space", {
+        "points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [1, 1, 0]]})
+    swap = write_json(tmp_path, "swap.map", ["v", "u"])
+    classes = write_json(tmp_path, "z3.classes", [["0", "1", "2"]])
+    return {
+        "ball": ["ball", "--monoid", "bicyclic", "--radius", "3"],
+        "dist": ["dist", "--monoid", "bicyclic", "--radius", "4", "--source", "c",
+                 "--target", "cbb"],
+        "poset": ["poset", "--monoid", "bicyclic", "--radius", "3"],
+        "green": ["green", "--monoid", "t3"],
+        "schutz": ["schutz", "--monoid", "bicyclic", "--radius", "3"],
+        "act": ["act", "--monoid", "t3", "--element", "120"],
+        "svarc": ["svarc", "--monoid", "t3", "--element", "120"],
+        "growth": ["growth", "--monoid", "free2", "--mmax", "9", "--classify"],
+        "ends": ["ends", "--monoid", "free2", "--kmax", "2", "--radius", "5"],
+        "qi-check": ["qi-check", "--source", sym2, "--target", sym2, "--map", swap,
+                     "--lambda", "1", "--epsilon", "0", "--mu", "0"],
+        "qi-search": ["qi-search", "--source", line3, "--target", sym2],
+        "quasimetric": ["quasimetric", "--source", line3, "--epsilon", "1/2"],
+        "symmetrize": ["symmetrize", "--source", line3],
+        "quotient": ["quotient", "--monoid", "z3", "--classes", classes],
+    }
+
+
+def test_command_lines_cover_every_command(tmp_path):
+    from semigeom.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(COMMANDS) == sorted(sub.choices) == sorted(command_lines(tmp_path))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_first_call_in_a_fresh_interpreter_matches(capsys, tmp_path, command):
+    # a command that imports its modules on first use must answer as it does
+    # once every module is loaded
+    argv = command_lines(tmp_path)[command]
+    code, out, err, _ = first_call(argv)
+    for name in MODULES:
+        importlib.import_module("semigeom." + name)
+    expected = run(capsys, *argv)
+
+    def timeless(text):
+        return [line for line in text.splitlines() if not line.startswith("elapsed: ")]
+
+    assert (code, out, timeless(err)) == (expected[0], expected[1],
+                                          timeless(expected[2]))
+    assert "Traceback" not in err
+
+
+def test_commands_load_only_their_modules(tmp_path):
+    assert fresh("import semigeom.cli\nsemigeom.cli.build_parser()")[3] == COLD
+    lines = command_lines(tmp_path)
+    for command in ("qi-check", "qi-search", "quasimetric", "symmetrize"):
+        code, _, _, loaded = first_call(lines[command])
+        assert code in (0, 1)
+        assert loaded == sorted(COLD + ["_records", "distances", "geometry"]), command
+    for command in ("ball", "dist", "poset"):
+        code, _, _, loaded = first_call(lines[command])
+        assert code == 0
+        assert "cayley" in loaded, command
+        assert not {"geometry", "green", "growth"} & set(loaded), command
+
+
+def test_package_names_resolve_to_their_modules():
+    from semigeom import errors
+
+    for name in semigeom.__all__:
+        value = getattr(semigeom, name)
+        if name in ("catalog", "descriptions"):
+            assert value is importlib.import_module("semigeom." + name)
+        elif name == "DEFAULT_CAP":
+            assert value is errors.DEFAULT_CAP
+        else:
+            # classes, functions and the two ExtDist constants
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(semigeom.__all__) <= set(dir(semigeom))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(semigeom, "no_such_name")
+    namespace = {}
+    exec("from semigeom import *", namespace)
+    assert all(namespace[name] is getattr(semigeom, name) for name in semigeom.__all__)
+
+
+def test_star_import_in_a_fresh_interpreter():
+    code, out, err, loaded = fresh(
+        "from semigeom import *\nimport semigeom\n"
+        "print(sorted(set(semigeom.__all__) - set(globals())))\n"
+        "print(Space is sys.modules['semigeom.geometry'].Space)")
+    assert (code, out) == (0, "[]\nTrue\n"), err
+    assert set(MODULES) - {"cli"} <= set(loaded)

@@ -20,7 +20,12 @@ from semigeom.green import (
     schutz_group,
     svarc_milnor,
 )
-from semigeom.monoids import RewritingMonoid, enumerate_all, proved_infinite
+from semigeom.monoids import (
+    RewritingMonoid,
+    TransformationMonoid,
+    enumerate_all,
+    proved_infinite,
+)
 from semigeom.rewriting import RewritingSystem
 
 
@@ -230,6 +235,42 @@ def test_action_exact_lower_rank(t2, t3):
         assert rep.exact and rep.isometric and rep.cocompact
         assert rep.counterexample is None
         assert rep.covering_radius >= 0
+
+
+def per_radius_orbit_meets(fm, h_class, radius):
+    """The orbit-meet counts with the ball rebuilt at every radius."""
+    geo = green._RClassGeometry(fm, h_class)
+    sizes = []
+    for rho in range(1, radius + 1):
+        ball = set(geo.out_ball(rho))
+        sizes.append((rho, sum(1 for perm in geo.vperms
+                               if any(perm[v] in ball for v in ball))))
+    return sizes, max(geo.dist[geo.base])
+
+
+T4 = TransformationMonoid(4, [("s", [1, 2, 3, 0]), ("t", [1, 0, 2, 3]),
+                              ("e", [0, 0, 2, 3])])
+
+
+@pytest.mark.parametrize("monoid", ["t3", "t4", 0, 1, 2, 3, 4, 5])
+def test_orbit_meets_match_the_per_radius_loop(monoid):
+    # the action check repeats the count once the ball stops growing
+    if monoid == "t3":
+        m = catalog.monoid("t3")
+    elif monoid == "t4":
+        m = T4
+    else:
+        m = rand_transformation_monoid(random.Random(monoid), max_degree=4)
+    fm = FiniteMonoid(m)
+    gs = fm.green()
+    # one H-class per R-class
+    h_classes = {gs.r_class_of[h[0]]: h for h in gs.h_classes}
+    for h in h_classes.values():
+        _, eccentricity = per_radius_orbit_meets(fm, h, 0)
+        for radius in range(eccentricity + 4):
+            expected, _ = per_radius_orbit_meets(fm, h, radius)
+            report = check_schutz_action_finite(fm, h, radius=radius)
+            assert report.orbit_meet_sizes == expected
 
 
 def test_action_evidence_bicyclic():
