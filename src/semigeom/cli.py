@@ -277,11 +277,13 @@ def cmd_growth(args):
     m = _load_monoid(args.monoid)
     seq = growth.growth_sequence(m, args.mmax, cap=args.cap)
     if args.other is None:
+        # classified before the table is printed, so a window too short to
+        # classify leaves stdout empty
+        verdict = growth.classify_growth(seq) if args.classify else None
         _say("m\tg")
         for t, g in enumerate(seq.values):
             _say("%d\t%d" % (t, g))
         if args.classify:
-            verdict = growth.classify_growth(seq)
             if isinstance(verdict, growth.Polynomial):
                 _say("classification: polynomial %d" % verdict.degree)
             elif isinstance(verdict, growth.Exponential):

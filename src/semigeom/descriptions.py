@@ -1,11 +1,13 @@
 """Loading of monoid, space, and map description dicts; dumping of spaces.
 
 The on-disk format is JSON.  Rationals serialize as "p/q" strings (plain
-integers are accepted); infinity in a distance matrix is null.  Loading a
-monoid re-checks all structural invariants (rule orientation, completeness,
-associativity), so a loaded backend is always in a valid state.
+integers, and a sign before p, are accepted); infinity in a distance
+matrix is null.  Loading a monoid re-checks all structural invariants (rule
+orientation, completeness, associativity), so a loaded backend is always
+in a valid state.
 """
 
+import re
 from fractions import Fraction
 
 
@@ -67,8 +69,15 @@ def parse_rational(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # the documented forms only, read by int(): Fraction(str) also takes
+        # exponents, decimal points, underscores and spaces, and builds
+        # 10**(10**7) from "1e10000000"
+        match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value)
+        if match is None:
+            raise ValueError("Invalid literal for Fraction: %r" % value)
+        num, den = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % value) from None
     raise ValueError("expected int or 'p/q' string, got %r" % value)

@@ -82,17 +82,20 @@ class ExtDist:
         return ">%d" % self.horizon
 
 
-def finite(value):
-    """Wrap a nonnegative rational (int, Fraction, or 'p/q' string)."""
-    if isinstance(value, str):
-        value = Fraction(value)
-    elif isinstance(value, int):
+def _rational(value):
+    """A nonnegative rational (int, Fraction, or 'p/q' string) as a Fraction."""
+    if isinstance(value, (str, int)):
         value = Fraction(value)
     elif not isinstance(value, Fraction):
         raise TypeError("finite distance must be rational, got %r" % (value,))
     if value < 0:
         raise ValueError("distances are nonnegative, got %s" % value)
-    return ExtDist(_FINITE, value=value)
+    return value
+
+
+def finite(value):
+    """Wrap a nonnegative rational (int, Fraction, or 'p/q' string)."""
+    return ExtDist(_FINITE, value=_rational(value))
 
 
 def beyond(horizon):
@@ -104,42 +107,43 @@ INFINITE = ExtDist(_INFINITE)
 
 ZERO = finite(0)
 
-
-def _instances(matrix):
-    """Every distinct entry instance of a matrix, keyed by id."""
-    instances = {}
-    for row in matrix:
-        instances.update(zip(map(id, row), row))
-    return instances
-
-
-def _rows(image, matrix):
-    return [list(map(image.__getitem__, map(id, row))) for row in matrix]
-
-
 INF = float("inf")
 
 
-def scaled_rows(matrix):
-    """(L, rows): a matrix of ExtDist entries as exact integers over one
-    denominator, converting each distinct instance once.
+def _code(entry):
+    """One matrix entry as scaled_rows codes it, before scaling: a Fraction
+    for a finite value, INF, or the int -1 - h for beyond(h)."""
+    if not isinstance(entry, ExtDist):
+        return INF if entry is None else _rational(entry)
+    if entry._status == _FINITE:
+        return entry.value
+    if entry._status == _INFINITE:
+        return INF
+    return -1 - entry.horizon
 
-    L is the least common denominator of the finite entries.  In the rows
-    a finite entry d is the int d * L, infinity is the float INF and a
-    horizon stamp beyond(h) is the negative int -1 - h, so that a sign
-    test finds the stamps and the horizon can be read back.  Every check
-    that compares entries (or entries and constants brought onto the same
-    scale) can then run on these ints instead of on Fractions.
+
+def scaled_rows(matrix):
+    """(L, rows): a distance matrix as exact integers over one denominator.
+
+    Entries are ExtDist values, None (infinity) or what finite() takes;
+    each is checked as it is consumed, so the first bad one in row-major
+    order raises what finite() raises for it.  L is the least common
+    denominator of the finite entries.  In the rows a finite entry d is the
+    int d * L, infinity is the float INF and a horizon stamp beyond(h) is
+    the negative int -1 - h, so that a sign test finds the stamps and
+    decode reads each entry back.  Every check that compares entries (or
+    entries and constants brought onto the same scale) runs on these ints.
     """
-    instances = _instances(matrix).items()
-    scale = lcm(*{d.value.denominator for _, d in instances if d._status == _FINITE})
-    image = {}
-    for key, d in instances:
-        if d._status == _FINITE:
-            q = d.value
-            image[key] = q.numerator * (scale // q.denominator)
-        elif d._status == _INFINITE:
-            image[key] = INF
-        else:
-            image[key] = -1 - d.horizon
-    return scale, _rows(image, matrix)
+    codes = [list(map(_code, row)) for row in matrix]
+    scale = lcm(*{q.denominator for row in codes for q in row if isinstance(q, Fraction)})
+    return scale, [[q.numerator * (scale // q.denominator) if isinstance(q, Fraction) else q
+                    for q in row] for row in codes]
+
+
+def decode(code, scale=1):
+    """The ExtDist of one entry of scaled_rows' rows over scale."""
+    if code == INF:
+        return INFINITE
+    if code < 0:
+        return beyond(-1 - code)
+    return finite(Fraction(code, scale))

@@ -8,17 +8,17 @@ holds only when the larger side is infinite too) and skip pairs carrying
 a horizon stamp, counting them so reports can say how much was left
 undecided.
 
-A space loaded from ExtDist values is decoded once, by the first check
-that reads it, and validated by the cubic semimetric-axiom scan, as is
-the output of symmetrize.  Ball and monoid spaces are built with their
-rows instead, on scale 1, straight from BFS depths: a monoid space needs
-no check, and a ball space is validated in O(|V| |E|) by certifying that
-each row is the ball's BFS depth function (certify_ball_rows).  Their
-ExtDist matrix is made only when the API or a printer reads it.  Every
-check compares the integers, with the constants brought onto the same
-scale by cross-multiplication; nothing goes through floating point and
-no Fraction arithmetic runs per entry.  Fractions appear only in
-reported values.
+A space is built from its rows alone.  make_space, and so a loaded
+space, encodes its entries once with scaled_rows and is validated by the
+cubic semimetric-axiom scan, as is the output of symmetrize.  Ball and
+monoid spaces take their rows, on scale 1, straight from BFS depths: a
+monoid space needs no check, and a ball space is validated in
+O(|V| |E|) by certifying that each row is the ball's BFS depth function
+(certify_ball_rows).  A space's ExtDist matrix is made only when the API
+or a printer reads it.  Every check compares the integers, with the
+constants brought onto the same scale by cross-multiplication; nothing
+goes through floating point and no Fraction arithmetic runs per entry.
+Fractions appear only in reported values.
 
 The quasi-isometric embedding inequalities for a map f and constants
 (lambda, epsilon) are
@@ -37,7 +37,7 @@ from math import lcm
 from operator import add, gt, sub
 
 from ._records import field, record
-from .distances import INF, INFINITE, ExtDist, beyond, finite, scaled_rows
+from .distances import INF, INFINITE, ExtDist, beyond, decode, scaled_rows
 from .errors import (
     DEFAULT_CAP,
     CapExceeded,
@@ -61,29 +61,20 @@ class Space:
     ``decoded`` is (L, rows) with L a common denominator of the finite
     distances and rows in the encoding of distances.scaled_rows (d * L as
     an int, infinity as INF, a stamp beyond(h) as -1 - h); every check
-    reads these rows.  ``dist`` is the same matrix as ExtDist row tuples,
-    for the API and for printing.  A space is built from either one, and
-    the other is made from it on first read.
+    reads these rows, and a space is built from them alone (make_space
+    builds one from a matrix of entries).  ``dist`` is the same matrix as
+    ExtDist row tuples, for the API and for printing, made on first read.
     """
 
-    def __init__(self, points, dist=None, decoded=None):
+    def __init__(self, points, decoded):
         self.points = tuple(points)
-        if dist is not None:
-            self.dist = tuple(map(tuple, dist))
-        if decoded is not None:
-            self.decoded = decoded
-
-    @cached_property
-    def decoded(self):
-        return scaled_rows(self.dist)
+        self.decoded = decoded
 
     @cached_property
     def dist(self):
         scale, rows = self.decoded
         # one ExtDist per distinct value
-        entry = {v: INFINITE if v == INF else beyond(-1 - v) if v < 0
-                 else finite(Fraction(v, scale))
-                 for v in set().union(*rows)}
+        entry = {v: decode(v, scale) for v in set().union(*rows)}
         return tuple(tuple(map(entry.__getitem__, row)) for row in rows)
 
     def __len__(self):
@@ -123,13 +114,13 @@ def _rescaled(space, scale):
 def check_axioms(points, dist):
     """First semimetric-axiom violation, or None.
 
-    dist is a matrix of ExtDist entries, or a Space, whose integer rows
-    are read as they are.  Horizon-stamped entries are skipped: an
-    undecided distance can never witness a violation.
+    dist is a matrix of entries as scaled_rows takes them (ExtDist
+    values, say), or a Space, whose integer rows are read as they are.
+    Horizon-stamped entries are skipped: an undecided distance can never
+    witness a violation.
     """
     n = len(points)
-    space = dist if isinstance(dist, Space) else Space(points, dist)
-    lhs = space.decoded[1]
+    lhs = (dist.decoded if isinstance(dist, Space) else scaled_rows(dist))[1]
     # on the right-hand side a stamp counts as infinity (an infinite sum)
     if min(map(min, lhs), default=0) < 0:
         rhs = [[INF if v < 0 else v for v in row] for row in lhs]
@@ -162,19 +153,8 @@ def check_axioms(points, dist):
 
 def make_space(points, matrix):
     """Build a validated Space; entries may be rationals, None (infinity),
-    or ExtDist values."""
-    rows = []
-    for row in matrix:
-        out = []
-        for v in row:
-            if isinstance(v, ExtDist):
-                out.append(v)
-            elif v is None:
-                out.append(INFINITE)
-            else:
-                out.append(finite(v))
-        rows.append(out)
-    space = Space(points, rows)
+    or ExtDist values (see distances.scaled_rows)."""
+    space = Space(points, scaled_rows(matrix))
     violation = check_axioms(points, space)
     if violation is not None:
         raise InvalidSpace(violation)
@@ -189,7 +169,7 @@ def space_from_ball(ball):
     violation = certify_ball_rows(ball, rows)
     if violation is not None:
         raise InvalidSpace(violation)
-    return Space([ball.name(i) for i in range(len(rows))], decoded=(1, rows))
+    return Space([ball.name(i) for i in range(len(rows))], (1, rows))
 
 
 def certify_ball_rows(ball, rows):
@@ -367,7 +347,7 @@ def quasi_density(f, source, target):
             return INFINITE if horizon is None else beyond(horizon)
         if best > worst:
             worst = best
-    return finite(Fraction(worst, scale))
+    return decode(worst, scale)
 
 
 @record
@@ -417,7 +397,7 @@ def symmetrize(space, eps=0):
     n = len(space)
     scale, rows = space.decoded
     sums = [list(map(add, row, col)) for row, col in zip(rows, zip(*rows))]
-    sym = Space(space.points, decoded=(scale, sums))
+    sym = Space(space.points, (scale, sums))
 
     metric_ok = (check_axioms(sym.points, sym) is None
                  and sums == [list(col) for col in zip(*sums)])
@@ -597,7 +577,7 @@ def monoid_space(fm):
     for s in range(n):
         depth = bfs(fm.right, s)[0]
         rows.append(list(map(lookup.__getitem__, depth)) if -1 in depth else depth)
-    return Space(fm.names, decoded=(1, rows))
+    return Space(fm.names, (1, rows))
 
 
 def is_congruence(fm, class_of):
@@ -671,7 +651,7 @@ def check_quotient_qi(fm, class_of):
     rows = source.decoded[1]
     worst = max(max(map(rows[x].__getitem__, members))
                 for members in ordered for x in members)
-    r_bound = INFINITE if worst == INF else finite(worst)
+    r_bound = decode(worst)
 
     names = [fm.names[members[0]] for members in ordered]
     table = [
@@ -748,7 +728,7 @@ def check_product_projection_qi(pm, radius, cap=DEFAULT_CAP):
                     skipped += 1
                 elif d > worst:
                     worst = d
-    r_bound = INFINITE if worst == INF else finite(Fraction(worst, scale))
+    r_bound = decode(worst, scale)
     target = space_from_ball(left_ball)
     notes = ["evidence at ball radius %d; %d fiber pairs undecided"
              % (radius, skipped)]

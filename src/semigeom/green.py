@@ -24,6 +24,7 @@ from functools import cached_property
 
 from . import cayley
 from ._records import field, record
+from .distances import decode
 from .errors import (
     PROBE_CAP,
     CapExceeded,
@@ -423,26 +424,22 @@ def check_schutz_action_ball(m, radius, cap=DEFAULT_CAP):
             notes.append("action of %s leaves the explored component"
                          % m.element_name(s))
 
+    # rows on scale 1: a pair is decided when neither entry is a stamp (< 0)
+    rows = graph.distance_rows()
     isometric = True
     counterexample = None
     for k, perm in zip(usable, vperms):
         for u in range(nverts):
             for v in range(nverts):
-                d1 = graph.distance(u, v)
-                d2 = graph.distance(perm[u], perm[v])
-                if d1.is_decisive() and d2.is_decisive() and d1 != d2:
+                a = rows[u][v]
+                b = rows[perm[u]][perm[v]]
+                if a >= 0 and b >= 0 and a != b:
                     isometric = False
-                    counterexample = (
-                        m.element_name(reps[k]),
-                        graph.name(u),
-                        graph.name(v),
-                        d1.format(),
-                        d2.format(),
-                    )
+                    counterexample = (m.element_name(reps[k]), graph.name(u),
+                                      graph.name(v), decode(a).format(), decode(b).format())
 
     def within(u, v, rho):
-        d = graph.distance(u, v)
-        return d.is_finite() and d.value <= rho
+        return 0 <= rows[u][v] <= rho
 
     base = 0
     sizes = []

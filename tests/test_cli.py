@@ -261,6 +261,14 @@ def test_growth_classify_polynomial(capsys):
     assert out.splitlines()[-1] == "classification: polynomial 2"
 
 
+def test_growth_classify_short_window_prints_nothing(capsys):
+    # the whole table once went to stdout before the window check failed
+    code, out, err = run(capsys, "growth", "--monoid", "free2", "--mmax", "5",
+                         "--classify")
+    assert code == 2 and out == ""
+    assert "error: classification needs a window of length >= 8\n" in err
+
+
 def test_growth_domination_witness(capsys):
     code, out, _ = run(capsys, "growth", "--monoid", "integers",
                        "--other", "free-comm2", "--mmax", "12")
@@ -662,6 +670,12 @@ def test_invalid_space_rejected(capsys, tmp_path):
     ([[0, 1], [1]], "error: dist matrix must be 2 x 2"),
     ([[0, 1], [1, 1]],
      "error: semimetric axioms violated: Violation(kind='diagonal', points=(1,))"),
+] + [
+    # Fraction(str) also reads exponents, decimal points, underscores, spaces
+    # and non-ASCII digits; from "1e10000000" it builds 10**(10**7) before
+    # any check runs
+    ([[0, entry], [1, 0]], "error: Invalid literal for Fraction: %r" % entry)
+    for entry in ["1e10000000", "1e3", "1_0", " 1/2 ", "1.5", "1/2/3", "\u0663", ""]
 ])
 def test_space_load_reports_first_bad_entry(capsys, tmp_path, dist, reason):
     path = write_json(tmp_path, "bad.space", {"points": ["u", "v"], "dist": dist})
@@ -679,6 +693,15 @@ def test_space_load_rejects_zero_denominators(capsys, tmp_path, dist, reason):
     code, out, err = run(capsys, "quasimetric", "--source", str(path))
     assert code == 2 and out == ""
     assert reason + "\n" in err
+
+
+def test_space_load_reads_signs_and_leading_zeros(capsys, tmp_path):
+    path = write_json(tmp_path, "ok.space",
+                      {"points": ["u", "v"], "dist": [["-0", "+3/02"], ["007", "0/5"]]})
+    code, out, _ = run(capsys, "quasimetric", "--source", path)
+    assert code == 0
+    assert out == run(capsys, "quasimetric", "--source", write_json(
+        tmp_path, "same.space", {"points": ["u", "v"], "dist": [[0, "3/2"], [7, 0]]}))[1]
 
 
 def test_space_load_rejects_duplicate_point_names(capsys, tmp_path):
@@ -706,7 +729,7 @@ RATIONAL_OPTIONS = [
 @pytest.mark.parametrize("command,option,bound,value", [
     (command, option, bound, value)
     for command, option, bound in RATIONAL_OPTIONS
-    for value in ("1/0", "-1", "-1/3", "0")
+    for value in ("1/0", "-1", "-1/3", "0", "1e10000000", "1.5")
     if value != "0" or bound == "> 0"
 ])
 def test_bad_rational_options_exit_2(capsys, tmp_path, sym2, command, option, bound,

@@ -1,10 +1,15 @@
-"""Extended distance arithmetic: classification, sums, scaling, formatting."""
+"""Extended distance arithmetic: classification, sums, scaling, formatting,
+and the integer row encoding (scaled_rows) with its decoder."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semigeom.distances import INFINITE, ZERO, ExtDist, beyond, finite
+from semigeom.distances import (INF, INFINITE, ZERO, ExtDist, beyond, decode, finite,
+                                scaled_rows)
 
 
 def test_finite_accepts_int_fraction_and_string():
@@ -88,3 +93,90 @@ def test_equality_and_hash():
 def test_no_ordering_operators():
     with pytest.raises(TypeError):
         finite(1) < finite(2)
+
+
+# -- the integer row encoding -------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(0, 40), st.integers(1, 12))
+ENTRIES = st.one_of(
+    st.integers(0, 40),
+    RATIONALS,
+    st.none(),
+    RATIONALS.map(finite),
+    st.just(INFINITE),
+    st.integers(0, 9).map(beyond),
+)
+# what finite() refuses: negatives, floats and values that are not rationals
+BAD_ENTRIES = st.one_of(
+    st.integers(-40, -1),
+    st.builds(Fraction, st.integers(-40, -1), st.integers(1, 12)),
+    st.floats(allow_nan=False),
+    st.sampled_from(["x", "-1/2", 1j, [1], b"1"]),
+)
+
+
+def square_matrices(min_points=0):
+    return st.integers(min_points, 6).flatmap(lambda n: st.lists(
+        st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def reference_entry(entry):
+    """(status, exact value): an entry read on its own, through Fraction."""
+    if entry is None or entry == INFINITE:
+        return "inf", None
+    if isinstance(entry, ExtDist):
+        if entry.is_beyond():
+            return "beyond", entry.horizon
+        return "finite", entry.value
+    return "finite", Fraction(entry)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(square_matrices())
+def test_scaled_rows_matches_per_entry_fractions(matrix):
+    scale, rows = scaled_rows(matrix)
+    entries = [list(map(reference_entry, row)) for row in matrix]
+    assert scale == lcm(*(q.denominator for row in entries
+                          for status, q in row if status == "finite"))
+    assert list(map(len, rows)) == list(map(len, matrix))
+    for row, reference, originals in zip(rows, entries, matrix):
+        for code, (status, value), entry in zip(row, reference, originals):
+            if status == "finite":
+                assert type(code) is int and code == value * scale
+                want = finite(value)
+            elif status == "inf":
+                assert code == INF
+                want = INFINITE
+            else:
+                assert code == -1 - value
+                want = beyond(value)
+            assert decode(code, scale) == want
+            if isinstance(entry, ExtDist):
+                assert decode(code, scale) == entry
+
+
+def lazily(matrix, stop):
+    """The matrix as generators of its rows, failing the test when an
+    entry past the cell `stop` (row-major) is consumed."""
+    for i, row in enumerate(matrix):
+        yield (pytest.fail("consumed an entry past %r" % (stop,)) if (i, j) > stop else v
+               for j, v in enumerate(row))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_scaled_rows_raises_what_finite_raises_at_the_first_bad_entry(data):
+    matrix = data.draw(square_matrices(min_points=1))
+    n = len(matrix)
+    cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               min_size=1, max_size=3))
+    for i, j in cells:
+        matrix[i][j] = data.draw(BAD_ENTRIES)
+    first = min(cells)
+    with pytest.raises((TypeError, ValueError)) as want:
+        finite(matrix[first[0]][first[1]])
+    for given_matrix in (matrix, lazily(matrix, first)):
+        with pytest.raises(want.type) as got:
+            scaled_rows(given_matrix)
+        assert str(got.value) == str(want.value)
+

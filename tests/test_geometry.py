@@ -12,7 +12,7 @@ import pytest
 
 from conftest import rand_space
 from semigeom import catalog, cayley, geometry, green, growth, rewriting
-from semigeom.distances import INFINITE, ZERO, beyond, finite
+from semigeom.distances import INFINITE, ZERO, beyond, finite, scaled_rows
 from semigeom.errors import (
     CapExceeded,
     InvalidSpace,
@@ -262,15 +262,15 @@ def test_compose_embeddings_replay():
     for _ in range(8):
         a = rand_space(rng, 4)
         doubled = geometry.Space(
-            a.points, [[d.scaled(2) for d in row] for row in a.dist]
+            a.points, scaled_rows([[d.scaled(2) for d in row] for row in a.dist])
         )
         bumped = geometry.Space(
             a.points,
-            [
+            scaled_rows([
                 [d.scaled(2).plus(1) if i != j else d
                  for j, d in enumerate(row)]
                 for i, row in enumerate(a.dist)
-            ],
+            ]),
         )
         ident = tuple(range(len(a)))
         assert check_qi_embedding(ident, a, doubled, 2, 0).ok

@@ -13,8 +13,9 @@ Svarc word lengths, monoid_space, the component poset) as oracles too,
 the next one the full multiplication table that Green's relations, the
 Schutzenberger groups and the congruence test used to read, the next one
 the backend products that FiniteMonoid now derives from words and the
-exhaustive associativity scan that Light's test replaced, and the last one
-the four loops that monoids.explore replaced.
+exhaustive associativity scan that Light's test replaced, the next one the
+four loops that monoids.explore replaced, and the last one the per-pair
+ExtDist loop that the evidence-mode action check ran before it read rows.
 """
 
 import random
@@ -170,7 +171,7 @@ def reference_symmetrize(space, eps=0):
         [space.dist[i][j].plus(space.dist[j][i]) for j in range(n)]
         for i in range(n)
     ]
-    sym = Space(space.points, rows)
+    sym = Space(space.points, scaled_rows(rows))
     metric_ok = reference_check_axioms(sym.points, rows) is None
     for i in range(n):
         for j in range(n):
@@ -386,8 +387,8 @@ def test_check_axioms_draws_reach_every_verdict():
     st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3)]),
 )
 def test_check_qi_embedding_matches_pair_loop(data, src, tgt, lam, eps):
-    source = Space(["x%d" % i for i in range(len(src))], src)
-    target = Space(["y%d" % i for i in range(len(tgt))], tgt)
+    source = Space(["x%d" % i for i in range(len(src))], scaled_rows(src))
+    target = Space(["y%d" % i for i in range(len(tgt))], scaled_rows(tgt))
     f = data.draw(st.lists(st.integers(0, len(tgt) - 1), min_size=len(src),
                            max_size=len(src)))
     got = check_qi_embedding(f, source, target, lam, eps)
@@ -418,7 +419,7 @@ def rational_matrices(draw, max_points=7, special=(INFINITE,)):
 
 
 def space_of(rows, prefix="p"):
-    return Space(["%s%d" % (prefix, i) for i in range(len(rows))], rows)
+    return Space(["%s%d" % (prefix, i) for i in range(len(rows))], scaled_rows(rows))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1656,3 +1657,145 @@ def test_product_group_test_matches_the_inverse_search():
     t6 = TransformationMonoid(6, [("s", [1, 2, 3, 4, 5, 0]), ("t", [1, 0, 2, 3, 4, 5]),
                                   ("e", [0, 0, 2, 3, 4, 5])])
     assert not monoids.ProductMonoid(catalog.monoid("z2"), t6).right_is_group
+
+
+# -- evidence-mode action on distance rows ------------------------------------------
+
+
+def reference_check_schutz_action_ball(m, radius, cap=monoids.DEFAULT_CAP):
+    """green.check_schutz_action_ball as it read the base component through
+    CayleyBall.distance: two ExtDist values per pair and group element."""
+    h_class, rball, rscc = green._identity_h_class(m, radius, cap)
+    hkeys = {h.key for h in h_class}
+    pos = {h.key: k for k, h in enumerate(h_class)}
+    seen = {}
+    order = []
+    reps = []
+    for s in rball.vertices:
+        images = [m.multiply(s, h) for h in h_class]
+        if {x.key for x in images} != hkeys:
+            continue
+        perm = tuple(pos[x.key] for x in images)
+        if perm not in seen:
+            seen[perm] = s
+            order.append(perm)
+            reps.append(s)
+
+    graph = cayley.base_component(rball, rscc)
+    nverts = len(graph.vertices)
+    vkey = {v.key: i for i, v in enumerate(graph.vertices)}
+    vperms = []
+    usable = []
+    notes = ["evidence: ball radius %d, group scanned within ball" % radius]
+    for k, s in enumerate(reps):
+        images = [m.multiply(s, v) for v in graph.vertices]
+        if all(x.key in vkey for x in images):
+            vperms.append([vkey[x.key] for x in images])
+            usable.append(k)
+        else:
+            notes.append("action of %s leaves the explored component"
+                         % m.element_name(s))
+
+    isometric = True
+    counterexample = None
+    for k, perm in zip(usable, vperms):
+        for u in range(nverts):
+            for v in range(nverts):
+                d1 = graph.distance(u, v)
+                d2 = graph.distance(perm[u], perm[v])
+                if d1.is_decisive() and d2.is_decisive() and d1 != d2:
+                    isometric = False
+                    counterexample = (m.element_name(reps[k]), graph.name(u),
+                                      graph.name(v), d1.format(), d2.format())
+
+    def within(u, v, rho):
+        d = graph.distance(u, v)
+        return d.is_finite() and d.value <= rho
+
+    base = 0
+    sizes = []
+    for rho in range(1, radius + 1):
+        ball = {v for v in range(nverts) if within(base, v, rho)}
+        meets = sum(1 for perm in vperms if any(perm[v] in ball for v in ball))
+        sizes.append((rho, meets))
+
+    covering = None
+    for lam in range(radius):
+        strong = [v for v in range(nverts)
+                  if within(base, v, lam) and within(v, base, lam)]
+        hit = set()
+        for perm in vperms:
+            hit.update(perm[v] for v in strong)
+        if len(hit) == nverts:
+            covering = lam
+            break
+    return green.ActionReport(
+        exact=False,
+        group_order=len(order),
+        isometric=isometric,
+        counterexample=counterexample,
+        outward_proper=True,
+        orbit_meet_sizes=sizes,
+        cocompact=covering is not None,
+        covering_radius=covering,
+        failed_radius=None if covering is not None else radius,
+        notes=notes,
+    )
+
+
+INFINITE_CATALOG = ["free1", "free2", "free-comm1", "free-comm2", "free-comm3",
+                    "bicyclic", "integers"]
+
+
+@pytest.mark.parametrize("factor", [None, "z2", "z3"])
+@pytest.mark.parametrize("name", INFINITE_CATALOG)
+def test_evidence_action_matches_the_extdist_pair_loop(name, factor):
+    m = catalog.monoid(name) if factor is None else catalog.product(name, factor)
+    for radius in range(1, 7):
+        got = green.check_schutz_action_ball(m, radius)
+        want = reference_check_schutz_action_ball(m, radius)
+        for attr in green.ActionReport.__annotations__:
+            assert getattr(got, attr) == getattr(want, attr), (radius, attr)
+        assert got == want
+
+
+# free2 x z3's identity R-class is (ε,0), (ε,1), (ε,2), every pair at
+# distance 1, and z3 acts on it by rotation.  No catalog monoid has a
+# non-isometric evidence action, nor a stamp where a rotation reads it, so
+# these entries are stubbed, in the rows and in CayleyBall.distance alike:
+# (row code, ExtDist) for each stubbed pair.
+STUBS = {
+    "infinity": {(0, 1): (INF, INFINITE)},
+    "stamps": {pair: (-3, beyond(2)) for pair in [(0, 1), (0, 2), (1, 0), (2, 0)]},
+}
+
+
+@pytest.mark.parametrize("stub,isometric,counterexample,meets", [
+    # the last pair found: the third group element maps ((ε,1), (ε,2)) onto
+    # the stubbed pair
+    ("infinity", False, ("(ε,2)", "(ε,1)", "(ε,2)", "1", "inf"), [(1, 3), (2, 3)]),
+    # a stamp decides no pair, and puts no vertex in a ball around the base
+    ("stamps", True, None, [(1, 1), (2, 1)]),
+])
+def test_evidence_action_on_stubbed_entries(monkeypatch, stub, isometric,
+                                            counterexample, meets):
+    m = catalog.product("free2", "z3")
+    patch = STUBS[stub]
+    base_component = cayley.base_component
+
+    def stubbed(ball, scc):
+        graph = base_component(ball, scc)
+        rows = graph.distance_rows()
+        for (u, v), (code, _) in patch.items():
+            assert rows[u][v] == 1
+            rows[u][v] = code
+        distance = graph.distance
+        graph.distance_rows = lambda: rows
+        graph.distance = lambda u, v: patch[u, v][1] if (u, v) in patch else distance(u, v)
+        return graph
+
+    monkeypatch.setattr(cayley, "base_component", stubbed)
+    got = green.check_schutz_action_ball(m, 2)
+    assert got == reference_check_schutz_action_ball(m, 2)
+    assert (got.isometric, got.counterexample, got.orbit_meet_sizes) == (
+        isometric, counterexample, meets)
