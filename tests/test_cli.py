@@ -990,3 +990,95 @@ def test_star_import_in_a_fresh_interpreter():
         "print(Space is sys.modules['semigeom.geometry'].Space)")
     assert (code, out) == (0, "[]\nTrue\n"), err
     assert set(MODULES) - {"cli"} <= set(loaded)
+
+
+# -- the parser's surface --------------------------------------------------------
+#
+# tests/cli_surface.json pins what the parser shows a user: the --help text
+# and the usage errors, byte for byte, and a manifest of every action of
+# every parser.  argparse words its messages differently across Python
+# versions, so the bytes are compared only on the versions they were
+# recorded on; the manifest is compared on every version.  To record the
+# running version after a deliberate change, run
+#   PYTHONPATH=src python tests/test_cli.py
+# and list every pin that moved in CHANGES.md.
+
+SURFACE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_surface.json")
+SURFACE_ENV = {"COLUMNS": "80", "NO_COLOR": "1"}
+SURFACE_CASES = (
+    [["--help"], [], ["bogus"]]
+    + [[command, "--help"] for command in COMMANDS]
+    + [[command] for command in COMMANDS]
+    + [["ball", "--radius", "x"],
+       ["qi-check", "--source", "s", "--target", "t", "--map", "m",
+        "--lambda", "0", "--epsilon", "0", "--mu", "0"]]
+)
+
+
+def surface_manifest():
+    """Every action of the top-level parser and of each command's parser."""
+    from semigeom.cli import build_parser
+
+    def actions(parser):
+        return [{"option_strings": a.option_strings, "dest": a.dest,
+                 "default": repr(a.default), "required": a.required,
+                 "choices": None if a.choices is None else list(a.choices),
+                 "help": a.help, "nargs": a.nargs} for a in parser._actions]
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    manifest = {"semigeom": {"actions": actions(parser)}}
+    for name, p in sub.choices.items():
+        manifest[name] = {"help": helps[name], "func": p.get_default("func").__name__,
+                          "actions": actions(p)}
+    return manifest
+
+
+def surface_case(argv):
+    """[exit code, stdout, stderr] of main() on argv; run under SURFACE_ENV."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def python_version():
+    return "%d.%d" % sys.version_info[:2]
+
+
+def load_surface():
+    with open(SURFACE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_parser_manifest_is_pinned():
+    assert surface_manifest() == load_surface()["manifest"]
+
+
+@pytest.mark.parametrize("argv", SURFACE_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_bytes_are_pinned(monkeypatch, argv):
+    pinned = load_surface()["bytes"].get(python_version())
+    if pinned is None:
+        pytest.skip("no --help bytes recorded for Python %s" % python_version())
+    for name in ("FORCE_COLOR", "PYTHON_COLORS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in SURFACE_ENV.items():
+        monkeypatch.setenv(name, value)
+    assert surface_case(argv) == pinned[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    for name in ("FORCE_COLOR", "PYTHON_COLORS"):
+        os.environ.pop(name, None)
+    os.environ.update(SURFACE_ENV)
+    recorded = load_surface() if os.path.exists(SURFACE) else {"bytes": {}}
+    recorded["manifest"] = surface_manifest()
+    recorded["bytes"][python_version()] = {" ".join(argv): surface_case(argv)
+                                           for argv in SURFACE_CASES}
+    with open(SURFACE, "w", encoding="utf-8") as fh:
+        json.dump(recorded, fh, indent=1, ensure_ascii=False, sort_keys=True)
+        fh.write("\n")
