@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import descriptions
 from .errors import (
     DEFAULT_CAP,
-    PROBE_CAP,
+    PROBE_CAP as DEFAULT_PROBE_CAP,
     CapExceeded,
     NotACongruence,
     NotFinite,
@@ -88,9 +88,42 @@ def _say(line=""):
     sys.stdout.write(line + "\n")
 
 
+# -- the command table --------------------------------------------------------
+
+# name -> (handler, help, arguments); @command fills it in the parser's order
+COMMANDS = {}
+
+
+def command(name, help, *arguments):
+    """Record the handler below as command name, with the (flag, keywords)
+    pair of each argument it reads, as add_argument takes them."""
+
+    def record(handler):
+        COMMANDS[name] = (handler, help, arguments)
+        return handler
+
+    return record
+
+
+def radius(default):
+    return ("--radius", dict(type=_count, default=default))
+
+
+MONOID = ("--monoid", dict(required=True))
+CAP = ("--cap", dict(type=_count, default=DEFAULT_CAP, help="element enumeration cap"))
+ELEMENT = ("--element", dict())
+PROBE_CAP = ("--probe-cap", dict(type=_count, default=DEFAULT_PROBE_CAP,
+                                 help="finiteness probe limit before evidence mode"))
+SOURCE = ("--source", dict(required=True))
+TARGET = ("--target", dict(required=True))
+EPSILON = ("--epsilon", dict(type=_nonnegative, default=Fraction(0)))
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
+@command("ball", "enumerate a Cayley ball", CAP, MONOID, radius(DEFAULT_RADIUS),
+         ("--format", dict(choices=["table", "dot", "distances"], default="table")))
 def cmd_ball(args):
     from . import cayley
 
@@ -108,6 +141,8 @@ def cmd_ball(args):
     return 0
 
 
+@command("dist", "in-ball distance between two elements",
+         CAP, MONOID, radius(DEFAULT_RADIUS), SOURCE, TARGET)
 def cmd_dist(args):
     from . import cayley
 
@@ -130,6 +165,7 @@ def cmd_dist(args):
     return 0
 
 
+@command("poset", "ball components and their order", CAP, MONOID, radius(DEFAULT_RADIUS))
 def cmd_poset(args):
     from . import cayley
 
@@ -154,6 +190,7 @@ def cmd_poset(args):
     return 0
 
 
+@command("green", "Green's relations of a finite monoid", CAP, MONOID)
 def cmd_green(args):
     from . import green
 
@@ -175,6 +212,8 @@ def cmd_green(args):
     return 0
 
 
+@command("schutz", "Schutzenberger graph and group", CAP, MONOID, ELEMENT, radius(8),
+         ("--format", dict(choices=["table", "dot"], default="table")), PROBE_CAP)
 def cmd_schutz(args):
     from . import cayley, green
 
@@ -233,6 +272,8 @@ def _print_action(report):
     return 0 if ok else 1
 
 
+@command("act", "check the Schutzenberger group action",
+         CAP, MONOID, ELEMENT, radius(8), PROBE_CAP)
 def cmd_act(args):
     from . import green
 
@@ -244,6 +285,9 @@ def cmd_act(args):
     return _print_action(report)
 
 
+@command("svarc", "extract generators from a group action", CAP, MONOID, ELEMENT,
+         ("--ball-radius", dict(type=_count, default=1)),
+         ("--l", dict(type=_count, default=1)))
 def cmd_svarc(args):
     from . import green
 
@@ -271,6 +315,12 @@ def cmd_svarc(args):
     return 0 if ok else 1
 
 
+@command("growth", "growth sequence and domination", CAP, MONOID,
+         ("--mmax", dict(type=_count, default=20)),
+         ("--classify", dict(action="store_true")),
+         ("--other", dict(help="second monoid: check domination instead")),
+         ("--lambda-max", dict(type=_positive_count, default=10)),
+         ("--c-max", dict(type=_count, default=10)))
 def cmd_growth(args):
     from . import growth
 
@@ -303,6 +353,8 @@ def cmd_growth(args):
     return 0
 
 
+@command("ends", "estimate the number of ends", CAP, MONOID,
+         ("--kmax", dict(type=_count, default=4)), radius(12))
 def cmd_ends(args):
     from . import growth
 
@@ -323,6 +375,11 @@ def cmd_ends(args):
     return 0
 
 
+@command("qi-check", "verify a quasi-isometry claim", SOURCE, TARGET,
+         ("--map", dict(required=True)),
+         ("--lambda", dict(dest="lam", type=_positive, required=True)),
+         ("--epsilon", dict(type=_nonnegative, required=True)),
+         ("--mu", dict(type=_nonnegative, required=True)))
 def cmd_qi_check(args):
     from . import geometry
 
@@ -350,6 +407,12 @@ def cmd_qi_check(args):
     return 0 if report.ok else 1
 
 
+@command("qi-search", "search for a quasi-isometry",
+         ("--cap", dict(type=_count, default=SEARCH_CAP, help="points per space")),
+         SOURCE, TARGET,
+         ("--lambda-max", dict(type=_positive, default=Fraction(4))),
+         ("--eps-max", dict(type=_nonnegative, default=Fraction(4))),
+         ("--mu-max", dict(type=_nonnegative, default=Fraction(2))))
 def cmd_qi_search(args):
     from . import geometry
 
@@ -374,6 +437,7 @@ def cmd_qi_search(args):
     return 0
 
 
+@command("quasimetric", "least quasi-metricity constant", SOURCE, EPSILON)
 def cmd_quasimetric(args):
     from . import geometry
 
@@ -390,6 +454,8 @@ def cmd_quasimetric(args):
     return 0
 
 
+@command("symmetrize", "symmetrize a space, with certificates", SOURCE, EPSILON,
+         ("--out", dict(help="write the space JSON here")))
 def cmd_symmetrize(args):
     from . import geometry
 
@@ -445,6 +511,11 @@ def _class_of(fm, data):
     return class_of
 
 
+@command("quotient", "check a quotient or projection map", CAP, MONOID,
+         ("--classes", dict(help="JSON list of class member lists")),
+         ("--projection", dict(action="store_true",
+                               help="product monoid: project onto the left factor")),
+         radius(8))
 def cmd_quotient(args):
     from . import geometry, green
     from .monoids import ProductMonoid
@@ -500,102 +571,11 @@ def build_parser():
         description="Coarse geometry of finitely generated monoids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kw):
-        p = sub.add_parser(name, **kw)
+    for name, (handler, help, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=handler)
-        p.add_argument("--cap", type=_count, default=DEFAULT_CAP,
-                       help="element enumeration cap")
-        return p
-
-    p = add("ball", cmd_ball, help="enumerate a Cayley ball")
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--radius", type=_count, default=DEFAULT_RADIUS)
-    p.add_argument("--format", choices=["table", "dot", "distances"],
-                   default="table")
-
-    p = add("dist", cmd_dist, help="in-ball distance between two elements")
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--radius", type=_count, default=DEFAULT_RADIUS)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-
-    p = add("poset", cmd_poset, help="ball components and their order")
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--radius", type=_count, default=DEFAULT_RADIUS)
-
-    p = add("green", cmd_green, help="Green's relations of a finite monoid")
-    p.add_argument("--monoid", required=True)
-
-    p = add("schutz", cmd_schutz, help="Schutzenberger graph and group")
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--element", default=None)
-    p.add_argument("--radius", type=_count, default=8)
-    p.add_argument("--format", choices=["table", "dot"], default="table")
-    p.add_argument("--probe-cap", dest="probe_cap", type=_count,
-                   default=PROBE_CAP,
-                   help="finiteness probe limit before evidence mode")
-
-    p = add("act", cmd_act, help="check the Schutzenberger group action")
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--element", default=None)
-    p.add_argument("--radius", type=_count, default=8)
-    p.add_argument("--probe-cap", dest="probe_cap", type=_count,
-                   default=PROBE_CAP,
-                   help="finiteness probe limit before evidence mode")
-
-    p = add("svarc", cmd_svarc, help="extract generators from a group action")
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--element", default=None)
-    p.add_argument("--ball-radius", dest="ball_radius", type=_count, default=1)
-    p.add_argument("--l", dest="l", type=_count, default=1)
-
-    p = add("growth", cmd_growth, help="growth sequence and domination")
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--mmax", type=_count, default=20)
-    p.add_argument("--classify", action="store_true")
-    p.add_argument("--other", default=None,
-                   help="second monoid: check domination instead")
-    p.add_argument("--lambda-max", dest="lambda_max", type=_positive_count, default=10)
-    p.add_argument("--c-max", dest="c_max", type=_count, default=10)
-
-    p = add("ends", cmd_ends, help="estimate the number of ends")
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--kmax", type=_count, default=4)
-    p.add_argument("--radius", type=_count, default=12)
-
-    p = add("qi-check", cmd_qi_check, help="verify a quasi-isometry claim")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--lambda", dest="lam", type=_positive, required=True)
-    p.add_argument("--epsilon", type=_nonnegative, required=True)
-    p.add_argument("--mu", type=_nonnegative, required=True)
-
-    p = add("qi-search", cmd_qi_search, help="search for a quasi-isometry")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--lambda-max", dest="lambda_max", type=_positive, default=Fraction(4))
-    p.add_argument("--eps-max", dest="eps_max", type=_nonnegative, default=Fraction(4))
-    p.add_argument("--mu-max", dest="mu_max", type=_nonnegative, default=Fraction(2))
-    p.set_defaults(cap=SEARCH_CAP)
-
-    p = add("quasimetric", cmd_quasimetric, help="least quasi-metricity constant")
-    p.add_argument("--source", required=True)
-    p.add_argument("--epsilon", type=_nonnegative, default=Fraction(0))
-
-    p = add("symmetrize", cmd_symmetrize, help="symmetrize a space, with certificates")
-    p.add_argument("--source", required=True)
-    p.add_argument("--epsilon", type=_nonnegative, default=Fraction(0))
-    p.add_argument("--out", default=None, help="write the space JSON here")
-
-    p = add("quotient", cmd_quotient, help="check a quotient or projection map")
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--classes", default=None, help="JSON list of class member lists")
-    p.add_argument("--projection", action="store_true",
-                   help="product monoid: project onto the left factor")
-    p.add_argument("--radius", type=_count, default=8)
-
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -26,10 +26,10 @@ def load_monoid(desc):
     kind = desc.get("kind")
     what = "%s monoid" % kind
     if kind == "rewriting":
-        alphabet = list(_entry(desc, "alphabet", what))
+        alphabet = _list_entry(desc, "alphabet", what, _STRING)
         rules = [
             (parse_word(lhs, alphabet), parse_word(rhs, alphabet))
-            for lhs, rhs in _entry(desc, "rules", what)
+            for lhs, rhs in _list_entry(desc, "rules", what, _STRING_PAIR)
         ]
         system = RewritingSystem(alphabet, rules)
         if not system.is_complete:
@@ -38,18 +38,21 @@ def load_monoid(desc):
                 "rewriting system is not confluent: peak %r joins to %r and %r"
                 % ("".join(f.peak), "".join(f.nf1), "".join(f.nf2))
             )
-        return RewritingMonoid(system, desc.get("extra_generators", ()))
+        extra = "extra_generators"
+        return RewritingMonoid(
+            system, _list_entry(desc, extra, what, _STRING_PAIR) if extra in desc else ())
     if kind == "transformation":
-        gens = _entry(desc, "generators", what)
-        if isinstance(gens, dict):
-            gens = sorted(gens.items())
+        gens = desc.get("generators")
+        gens = sorted(gens.items()) if isinstance(gens, dict) else _list_entry(
+            desc, "generators", what)
         return TransformationMonoid(_entry(desc, "degree", what), gens)
     if kind == "table":
+        gens = desc.get("generators")
         return TableMonoid.from_semigroup(
-            _entry(desc, "elements", what),
+            _list_entry(desc, "elements", what, _STRING),
             _entry(desc, "table", what),
             identity=desc.get("identity"),
-            generator_names=desc.get("generators"),
+            generator_names=None if gens is None else _list_entry(desc, "generators", what),
         )
     if kind == "product":
         return ProductMonoid(load_monoid(_entry(desc, "left", what)),
@@ -87,10 +90,22 @@ def format_rational(q):
     return str(q)
 
 
-def _list_entry(desc, key, what):
+_STRING = (lambda item: isinstance(item, str), "a string")
+_STRING_PAIR = (lambda item: isinstance(item, list) and len(item) == 2
+                and all(isinstance(s, str) for s in item), "a pair of strings")
+
+
+def _list_entry(desc, key, what, each=None):
+    """desc[key], which must be a list, and with each = (test, wording), one
+    whose every item passes the test."""
     value = _entry(desc, key, what)
     if not isinstance(value, list):
         raise ValueError("%s %r entry %r is not a list" % (what, key, value))
+    if each is not None:
+        ok, wording = each
+        for item in value:
+            if not ok(item):
+                raise ValueError("%s %r entry: %r is not %s" % (what, key, item, wording))
     return value
 
 

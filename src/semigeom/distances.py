@@ -10,6 +10,8 @@ through sums so that derived quantities stay honestly marked.
 from fractions import Fraction
 from math import lcm
 
+from .descriptions import parse_rational
+
 _FINITE = 0
 _INFINITE = 1
 _BEYOND = 2
@@ -83,8 +85,10 @@ class ExtDist:
 
 
 def _rational(value):
-    """A nonnegative rational (int, Fraction, or 'p/q' string) as a Fraction."""
-    if isinstance(value, (str, int)):
+    """A nonnegative int, Fraction or 'p/q' string (read by parse_rational) as a Fraction."""
+    if isinstance(value, str):
+        value = parse_rational(value)
+    elif isinstance(value, int):
         value = Fraction(value)
     elif not isinstance(value, Fraction):
         raise TypeError("finite distance must be rational, got %r" % (value,))

@@ -601,19 +601,33 @@ REWRITING = {"kind": "rewriting", "alphabet": ["a", "b"], "rules": []}
     ({"kind": "product", "left": dict(TABLE, table=[["e", "a"], ["a", "e"]])},
      "product monoid description has no 'right' entry"),
     ([1, 2], "monoid description [1, 2] is not an object"),
+    (dict(REWRITING, alphabet=5), "rewriting monoid 'alphabet' entry 5 is not a list"),
+    (dict(REWRITING, alphabet=[1, 2]), "rewriting monoid 'alphabet' entry: 1 is not a string"),
+    (dict(REWRITING, rules=[[1, ""]]),
+     "rewriting monoid 'rules' entry: [1, ''] is not a pair of strings"),
+    (dict(REWRITING, rules=[["a"]]),
+     "rewriting monoid 'rules' entry: ['a'] is not a pair of strings"),
+    (dict(REWRITING, extra_generators=5),
+     "rewriting monoid 'extra_generators' entry 5 is not a list"),
+    (dict(TRANSFORMATION, generators=5),
+     "transformation monoid 'generators' entry 5 is not a list"),
+    (dict(TABLE, elements=[["x"], "a"], table=[[0, 1], [1, 0]]),
+     "table monoid 'elements' entry: ['x'] is not a string"),
 ], ids=["table-float", "table-bool", "table-row", "table-shape", "image-float",
         "image-bool", "image-list", "generator-pair", "degree-float",
         "transformation-duplicate-symbol", "table-duplicate-symbol",
         "extra-generator-duplicate-symbol", "list-symbol", "table-unknown-generator",
         "table-unknown-identity", "table-unknown-entry", "product-without-right",
-        "not-an-object"])
+        "not-an-object", "alphabet-int", "alphabet-ints", "rule-int", "rule-single",
+        "extra-generators-int", "generators-int", "elements-list"])
 def test_bad_monoid_descriptions_exit_2(capsys, tmp_path, desc, reason):
     # each was once accepted with ambiguous output, truncated to an int, or
-    # ended in a TypeError, a bare key or a traceback
+    # ended in a TypeError, a bare key, Python's own "not enough values to
+    # unpack" or a traceback
     path = write_json(tmp_path, "bad.monoid", desc)
     code, out, err = run(capsys, "green", "--monoid", path)
     assert code == 2 and out == ""
-    assert ("error: %s\n" % reason) in err
+    assert [line for line in err.splitlines() if "error:" in line] == ["error: " + reason]
     assert "Traceback" not in err
 
 
@@ -925,10 +939,35 @@ def command_lines(tmp_path):
 
 
 def test_command_lines_cover_every_command(tmp_path):
-    from semigeom.cli import build_parser
+    from semigeom import cli
 
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    assert sorted(COMMANDS) == sorted(sub.choices) == sorted(command_lines(tmp_path))
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert list(COMMANDS) == list(cli.COMMANDS) == list(sub.choices)
+    assert sorted(COMMANDS) == sorted(command_lines(tmp_path))
+
+
+def test_each_command_declares_exactly_the_arguments_it_reads():
+    import inspect
+    import re
+
+    from semigeom import cli
+
+    for name, (handler, _, arguments) in cli.COMMANDS.items():
+        declared = {kwargs.get("dest", flag[2:].replace("-", "_"))
+                    for flag, kwargs in arguments}
+        assert len(declared) == len(arguments), name
+        read = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(handler)))
+        assert declared == read, name
+
+
+def test_readme_lists_the_command_table():
+    from semigeom import cli
+
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    table = readme.split("\n## Command line\n", 1)[1].split("\n\n| command |", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[2:]
+    assert [row.split("`")[1] for row in rows] == list(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -1,6 +1,7 @@
 """Extended distance arithmetic: classification, sums, scaling, formatting,
 and the integer row encoding (scaled_rows) with its decoder."""
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from semigeom.distances import (INF, INFINITE, ZERO, ExtDist, beyond, decode, finite,
                                 scaled_rows)
+from semigeom.geometry import make_space
 
 
 def test_finite_accepts_int_fraction_and_string():
@@ -17,6 +19,24 @@ def test_finite_accepts_int_fraction_and_string():
     assert finite(Fraction(3, 2)).value == Fraction(3, 2)
     assert finite("3/2").value == Fraction(3, 2)
     assert finite("3/2") == finite(Fraction(3, 2))
+
+
+@pytest.mark.parametrize("text", ["1e2000000", "1e3", "1.5", " 1/2 "])
+def test_rational_strings_are_read_strictly(text):
+    # Fraction(str) reads exponents, decimal points and spaces, and builds
+    # 10**(2*10**6) from "1e2000000" before any check runs
+    message = "Invalid literal for Fraction: %r" % text
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        finite(text)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        make_space(["u", "v"], [[0, text], [1, 0]])
+
+
+def test_documented_rational_strings_are_read():
+    assert finite("3/2").value == Fraction(3, 2)
+    assert finite("-0") == ZERO
+    space = make_space(["u", "v"], [["-0", "3/2"], [1, 0]])
+    assert (space.d(0, 0), space.d(0, 1)) == (ZERO, finite(Fraction(3, 2)))
 
 
 def test_finite_rejects_floats_and_negatives():
