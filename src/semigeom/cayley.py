@@ -20,7 +20,7 @@ points are the vertices plus interior edge points (e, mu) with rational
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from operator import add
 
 from .distances import INF, INFINITE, beyond, finite
 from .errors import CapExceeded, NotFinite
@@ -486,8 +486,10 @@ def distance_table(ball):
     text = {d: str(d) for d in range(min(len(ball), ball.radius + 1))}
     text[-1 - ball.radius] = ">%d" % ball.radius
     text[INF] = "inf"
-    lines = []
+    tails = [v + "\t" for v in names]
+    blocks = []
+    # a source's lines in one join, "u<TAB>" before each "v<TAB>d"
     for u, row in zip(names, ball.distance_rows()):
-        lines.extend(map("%s\t%s\t%s".__mod__,
-                         zip(repeat(u), names, map(text.__getitem__, row))))
-    return "\n".join(lines) + "\n"
+        head = u + "\t"
+        blocks.append(head + ("\n" + head).join(map(add, tails, map(text.__getitem__, row))))
+    return "\n".join(blocks) + "\n"

@@ -13,12 +13,12 @@ space, encodes its entries once with scaled_rows and is validated by the
 cubic semimetric-axiom scan, as is the output of symmetrize.  Ball and
 monoid spaces take their rows, on scale 1, straight from BFS depths: a
 monoid space needs no check, and a ball space is validated in
-O(|V| |E|) by certifying that each row is the ball's BFS depth function
-(certify_ball_rows).  A space's ExtDist matrix is made only when the API
-or a printer reads it.  Every check compares the integers, with the
-constants brought onto the same scale by cross-multiplication; nothing
-goes through floating point and no Fraction arithmetic runs per entry.
-Fractions appear only in reported values.
+O(|V| (|V| + |E|)) by certifying that each row is the ball's BFS depth
+function (certify_ball_rows).  A space's ExtDist matrix is made only
+when the API or a printer reads it.  Every check compares the integers,
+with the constants brought onto the same scale by cross-multiplication;
+nothing goes through floating point and no Fraction arithmetic runs per
+entry.  Fractions appear only in reported values.
 
 The quasi-isometric embedding inequalities for a map f and constants
 (lambda, epsilon) are
@@ -174,10 +174,10 @@ def space_from_ball(ball):
 
 def certify_ball_rows(ball, rows):
     """None when every row is the rule of CayleyBall.distance applied to
-    the BFS depths of the ball's digraph; else the first failure found, as
-    a Violation naming the row's source s first.
+    the BFS depths of the ball's digraph; else the first failure in
+    row-major order, as a Violation naming the row's source s first.
 
-    Each row takes O(|V| + |E|).  With r the radius, row s must have
+    With r the radius, row s must have
       - "range": every entry a depth 0..r, the stamp -1 - r or INF;
       - "diagonal", "positivity": d(s, s) = 0 and no other 0;
       - "edge" (s, u, v): d(s, v) <= d(s, u) + 1 on every edge u -> v,
@@ -191,18 +191,64 @@ def certify_ball_rows(ball, rows):
     vertices without INF are then closed under the monoid's generators,
     so INF is a proved infinity.  Rows that pass satisfy the semimetric
     axioms.
+
+    The range, zero and infinity rules are checked row by row.  The edge
+    and parent rules are checked a column (target vertex v) at a time over
+    all sources: with low the entrywise minimum of the columns of v's
+    in-neighbours, gap = col_v - low must be at most 1 (edge), and 1 at
+    every entry 0 < k <= r (parent); a vertex with no in-neighbour may
+    have no such entry.  Only when a check fails are the rows scanned one
+    at a time (_first_violation) to name the failure.  Either way the
+    total is O(n (n + |E|)) for n vertices.
     """
-    r = ball.radius
-    stamp = -1 - r
     n = len(rows)
+    allowed, positive, key = _entry_rules(ball.radius, n)
+    incomplete = [v for v, done in enumerate(ball.complete) if not done]
+    keyed = []
+    for s, row in enumerate(rows):
+        # range, diagonal, positivity, and infinity: a row with INF has it
+        # at every incomplete vertex
+        if (not allowed.issuperset(row) or row[s] != 0 or row.count(0) > 1
+                or (INF in row and INF != min(map(row.__getitem__, incomplete),
+                                              default=INF))):
+            return _first_violation(ball, rows)
+        keyed.append(list(map(key.__getitem__, row)))
+    cols = list(zip(*keyed))
+    ins = [[] for _ in range(n)]
+    for u, out in enumerate(ball.out_adj):
+        for v in out:
+            ins[v].append(cols[u])
+    for col, feeds in zip(cols, ins):
+        if not feeds:
+            if any(map(positive.__contains__, col)):
+                return _first_violation(ball, rows)
+            continue
+        low = feeds[0] if len(feeds) == 1 else map(min, *feeds)
+        gap = list(map(sub, col, low))
+        if (max(gap) > 1
+                or min(compress(gap, map(positive.__contains__, col)), default=1) < 1):
+            return _first_violation(ball, rows)
+    return None
+
+
+def _entry_rules(r, n):
+    """(allowed, positive, key) for the rows of a radius-r ball on n
+    vertices: the entries the range rule allows, the entries the parent
+    rule applies to, and an int per allowed entry for the edge rule."""
     depths = range(min(n, r + 1))
-    allowed = {*depths, stamp, INF}
-    positive = frozenset(depths[1:])
-    # an int per entry for the edge rule: a stamp is r + 1, and INF is
-    # r + 3, more than one step past any other entry
+    # a stamp is r + 1, and INF is r + 3, more than one step past any
+    # other entry
     key = dict(zip(depths, depths))
-    key[stamp] = r + 1
+    key[-1 - r] = r + 1
     key[INF] = r + 3
+    return set(key), frozenset(depths[1:]), key
+
+
+def _first_violation(ball, rows):
+    """The first Violation of certify_ball_rows in row-major order, or
+    None; each row takes O(|V| + |E|)."""
+    n = len(rows)
+    allowed, positive, key = _entry_rules(ball.radius, n)
     sources = [u for u, out in enumerate(ball.out_adj) for _v in out]
     targets = [v for out in ball.out_adj for v in out]
     for s, row in enumerate(rows):

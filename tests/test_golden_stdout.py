@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -73,8 +74,6 @@ def test_manifest_covers_every_workload():
 
 
 def write_manifest():
-    import tempfile
-
     manifest = {}
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

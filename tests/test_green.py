@@ -6,12 +6,14 @@ identity are computed by disjoint code paths.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import rand_transformation_monoid
-from semigeom import catalog, green
+from semigeom import catalog, cayley, green
 from semigeom.errors import NotAnHClass, NotFinite, NotGenerating, ProvedInfinite
+from semigeom.geometry import Space, check_qi_embedding, quasi_density
 from semigeom.green import (
     FiniteMonoid,
     ball_h_class_of_identity,
@@ -330,6 +332,69 @@ def test_svarc_not_generating(t3):
     with pytest.raises(NotGenerating) as info:
         svarc_milnor(t3, gs.h_classes[0], ball_radius=0, l=0)
     assert len(info.value.missing) == 5  # everything but the identity
+
+
+# The Svarc-Milnor conclusion, checked on all pairs by the QI checker: the
+# orbit map g -> g x0 from the group with the word metric of the extracted
+# S to the R-class space is a (max(lambda, 2), 0)-quasi-isometric embedding
+# with a finite density.  With l = 1, d_S <= d + 1 and d >= 1 for g != h
+# (the action is free), so d_S <= 2 d; and d <= lambda d_S by isometry.
+
+
+def svarc_cases():
+    """(fm, h_class, report): the first six H-classes that svarc_milnor
+    accepts at ball radius 1 and at 2, on T2, T3 and seeded random
+    transformation monoids of degree 3-4."""
+    rng = random.Random(10)
+    monoids = [catalog.monoid("t2"), catalog.monoid("t3")]
+    for _ in range(40):
+        degree = rng.randint(3, 4)
+        gens = [("g%d" % i, [rng.randrange(degree) for _ in range(degree)])
+                for i in range(rng.randint(1, 3))]
+        monoids.append(TransformationMonoid(degree, gens))
+    for m in monoids:
+        fm = FiniteMonoid(m)
+        for ball_radius in (1, 2):
+            accepted = 0
+            for h in fm.green().h_classes:
+                try:
+                    report = svarc_milnor(fm, h, ball_radius=ball_radius)
+                except NotGenerating:
+                    continue
+                yield fm, h, report
+                accepted += 1
+                if accepted == 6:
+                    break
+
+
+def orbit_map(fm, h, report):
+    """(f, group space, R-class space) of the orbit map g -> g x0."""
+    geo = green._RClassGeometry(fm, h)
+    group = geo.group
+    s_columns = [[row[s] for s in report.s_indices] for row in group.table]
+    word = [cayley.bfs(s_columns, g)[0] for g in range(group.order)]
+    assert min(map(min, word)) >= 0 and min(map(min, geo.dist)) >= 0
+    points = [geo.vertex_name(v) for v in range(len(geo.vertices))]
+    f = [perm[geo.base] for perm in geo.vperms]
+    return f, Space(group.rep_names, (1, word)), Space(points, (1, geo.dist))
+
+
+def test_svarc_orbit_map_is_a_quasi_isometric_embedding():
+    cases = 0
+    sharp = 0
+    for fm, h, report in svarc_cases():
+        assert report.forward_ok and report.reverse_ok
+        f, group, rclass = orbit_map(fm, h, report)
+        lam = report.lam
+        assert check_qi_embedding(f, group, rclass, max(lam, 2), 0).ok, (fm.names, h)
+        assert quasi_density(f, group, rclass).is_finite()
+        cases += 1
+        if lam > 2:
+            # some s moves x0 by lambda while d_S(e, s) = 1
+            less = Fraction(2 * lam - 1, 2)
+            assert not check_qi_embedding(f, group, rclass, less, 0).ok, (fm.names, h)
+            sharp += 1
+    assert cases >= 200 and sharp >= 5, (cases, sharp)
 
 
 # -- proved-infinite monoids skip the finiteness probe ----------------------------------

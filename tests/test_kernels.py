@@ -22,6 +22,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -570,6 +572,8 @@ def test_distance_table_matches_pair_formatter(name, make, radius):
 # the cubic check_axioms, which stays the reference here: on every ball
 # both accept, and no mutation the certificate accepts is one that
 # check_axioms would reject.
+# reference_certify_ball_rows is the certificate as the row scan it was
+# before it read columns: both name the same first violation.
 
 
 def eager_matrix(ball):
@@ -590,6 +594,45 @@ def test_certificate_accepts_ball_rows_as_check_axioms_does(name, make, radius):
         space = space_from_ball(ball)
         assert space.decoded == (1, rows)
         assert space.dist == tuple(map(tuple, matrix))
+
+
+def reference_certify_ball_rows(ball, rows):
+    """certify_ball_rows as a row scan: every rule on one row, then the
+    next row, with the edge and parent rules read off all the edges."""
+    r = ball.radius
+    stamp = -1 - r
+    n = len(rows)
+    depths = range(min(n, r + 1))
+    allowed = {*depths, stamp, INF}
+    positive = frozenset(depths[1:])
+    key = dict(zip(depths, depths))
+    key[stamp] = r + 1
+    key[INF] = r + 3
+    sources = [u for u, out in enumerate(ball.out_adj) for _v in out]
+    targets = [v for out in ball.out_adj for v in out]
+    for s, row in enumerate(rows):
+        if not allowed.issuperset(row):
+            v = next(v for v, x in enumerate(row) if x not in allowed)
+            return Violation("range", (s, v))
+        if row[s] != 0:
+            return Violation("diagonal", (s,))
+        if row.count(0) > 1:
+            v = next(v for v, x in enumerate(row) if x == 0 and v != s)
+            return Violation("positivity", (s, v))
+        k = list(map(key.__getitem__, row))
+        steps = list(map(sub, map(k.__getitem__, targets), map(k.__getitem__, sources)))
+        if max(steps, default=0) > 1:
+            e = next(e for e, step in enumerate(steps) if step > 1)
+            return Violation("edge", (s, sources[e], targets[e]))
+        parented = set(compress(targets, map((1).__eq__, steps)))
+        if not parented.issuperset(compress(range(n), map(positive.__contains__, row))):
+            v = next(v for v, x in enumerate(row) if x in positive and v not in parented)
+            return Violation("parent", (s, v))
+        if INF in row:
+            for v, x in enumerate(row):
+                if x != INF and not ball.complete[v]:
+                    return Violation("infinity", (s, v))
+    return None
 
 
 def certificate_balls():
@@ -702,6 +745,71 @@ def test_certificate_accepts_only_the_rows_or_a_stamp_for_infinity():
             else:
                 rejected += 1
     assert rejected > 500
+
+
+NAMING_BALLS = [("certificate", certificate_balls)] + [
+    (name, lambda make=make, radius=radius: balls(make, radius))
+    for name, make, radius in BALLS]
+
+
+@pytest.mark.parametrize("name,make", NAMING_BALLS, ids=[b[0] for b in NAMING_BALLS])
+def test_certificate_names_what_the_row_scan_names(name, make):
+    kinds = Counter()
+    for ball in make():
+        rows = ball.distance_rows()
+        assert certify_ball_rows(ball, rows) is None
+        assert reference_certify_ball_rows(ball, rows) is None
+        for kind, s, v, value in mutants(ball, rows):
+            x, rows[s][v] = rows[s][v], value
+            want = reference_certify_ball_rows(ball, rows)
+            assert certify_ball_rows(ball, rows) == want, (kind, s, v, value)
+            rows[s][v] = x
+            kinds[want.kind] += 1
+    assert {"diagonal", "edge", "parent"} <= set(kinds)
+    if name == "certificate":
+        assert set(kinds) == {"range", "diagonal", "positivity", "edge", "parent",
+                              "infinity"}
+
+
+def test_certificate_needs_a_parent_at_a_vertex_without_in_neighbours():
+    ball = build_cayley_ball(catalog.monoid("free2"), 2)
+    rows = ball.distance_rows()
+    # nothing leads into the identity; a depth there has no parent, and
+    # every edge out of it still keeps the edge rule
+    assert not any(0 in out for out in ball.out_adj)
+    bad = mutated(rows, 1, 0, 2)
+    assert certify_ball_rows(ball, bad) == Violation("parent", (1, 0))
+    assert reference_certify_ball_rows(ball, bad) == Violation("parent", (1, 0))
+
+
+def test_certificate_reads_the_nearest_in_neighbour():
+    ball = build_cayley_ball(catalog.monoid("t3"), 1, side=cayley.LEFT)
+    rows = ball.distance_rows()
+    # "002" (vertex 3) is entered from the identity and by its own loops; a
+    # stamp there breaks the edge from the identity, not the loops
+    assert ball.out_adj[0] == [1, 2, 3] and ball.out_adj[3] == [3, 3]
+    bad = mutated(rows, 0, 3, -2)
+    assert certify_ball_rows(ball, bad) == Violation("edge", (0, 0, 3))
+    assert reference_certify_ball_rows(ball, bad) == Violation("edge", (0, 0, 3))
+
+
+SMALL_BALLS = ["free2", "free-comm2", "bicyclic", "integers", "t3", "z3",
+               ("bicyclic", "z2"), ("integers", "z3")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(SMALL_BALLS), st.integers(1, 5),
+       st.sampled_from([cayley.RIGHT, cayley.LEFT]))
+def test_certificate_matches_the_row_scan_on_random_mutations(data, name, radius, side):
+    m = catalog.product(*name) if isinstance(name, tuple) else catalog.monoid(name)
+    ball = build_cayley_ball(m, radius, side=side)
+    rows = ball.distance_rows()
+    n = len(rows)
+    values = st.sampled_from([*range(-2, radius + 3), -1 - radius, INF])
+    for _ in range(data.draw(st.integers(1, 3))):
+        s, v = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[s][v] = data.draw(values)
+    assert certify_ball_rows(ball, rows) == reference_certify_ball_rows(ball, rows)
 
 
 def counting_view(monkeypatch):
