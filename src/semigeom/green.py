@@ -17,14 +17,16 @@ R-class (whose internal path distances are the true word-metric
 distances, since a product path between R-equivalent elements never
 leaves the R-class).  For infinite monoids a horizon-stamped evidence
 mode works inside a radius-r ball instead and never claims more than the
-ball shows.
+ball shows.  The two modes differ only in where the group and the distance
+rows come from: one stabilizer scan finds the group and one report checks
+the action.
 """
 
 from functools import cached_property
 
 from . import cayley
 from ._records import field, record
-from .distances import decode
+from .distances import INF, decode
 from .errors import (
     PROBE_CAP,
     CapExceeded,
@@ -198,6 +200,25 @@ def _compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
+def _stabilizer(candidates, members, product):
+    """(perms, reps): the distinct actions on members of the candidates s
+    that map members onto themselves, in the order first found, each with
+    the first candidate inducing it.  product(s, h) is the image of the
+    member h under s; a perm lists the positions of the images."""
+    pos = {x: k for k, x in enumerate(members)}
+    h0, rest = members[0], members[1:]
+    found = {}
+    for s in candidates:
+        # sH = H needs s h_0 in H; most s fail there, after one product
+        first = product(s, h0)
+        if first not in pos:
+            continue
+        images = [first, *[product(s, h) for h in rest]]
+        if pos.keys() == set(images):
+            found.setdefault(tuple(pos[y] for y in images), s)
+    return list(found), list(found.values())
+
+
 def schutz_group(fm, h_class):
     """Stab(H) = {s : sH = H} made faithful on H.
 
@@ -208,23 +229,7 @@ def schutz_group(fm, h_class):
     gs = fm.green()
     if members not in [sorted(h) for h in gs.h_classes]:
         raise NotAnHClass("%r is not an H-class" % [fm.names[i] for i in members])
-    pos = {x: k for k, x in enumerate(members)}
-    hset = frozenset(members)
-    seen = {}
-    order = []
-    for s in range(len(fm)):
-        # sH = H needs s h_0 in H; most s fail there, after one product
-        if fm.product(s, members[0]) not in hset:
-            continue
-        images = [fm.product(s, h) for h in members]
-        if frozenset(images) != hset:
-            continue
-        perm = tuple(pos[y] for y in images)
-        if perm not in seen:
-            seen[perm] = s
-            order.append(perm)
-    reps = [seen[p] for p in order]
-    group = SchutzGroup(fm, members, order, reps)
+    group = SchutzGroup(fm, members, *_stabilizer(range(len(fm)), members, fm.product))
     # sigma really is a congruence: composing two induced actions must
     # land back in the computed set
     assert all(v is not None for row in group.table for v in row)
@@ -261,20 +266,16 @@ class _RClassGeometry:
             images = [self.vpos[fm.product(rep, x)] for x in self.vertices]
             assert sorted(images) == list(range(n))
             self.vperms.append(images)
-        self.h_of_vertex = [gs.h_class_of[x] for x in self.vertices]
 
     def vertex_name(self, k):
         return self.fm.names[self.vertices[k]]
 
-    def strong_ball(self, radius):
-        d = self.dist
-        b = self.base
-        return [v for v in range(len(self.vertices))
-                if d[b][v] <= radius and d[v][b] <= radius]
 
-    def out_ball(self, radius):
-        d = self.dist[self.base]
-        return [v for v in range(len(self.vertices)) if d[v] <= radius]
+def _strong_ball(rows, base, radius):
+    """The vertices within radius of base and base within radius of them."""
+    out = rows[base]
+    return [v for v, row in enumerate(rows)
+            if 0 <= out[v] <= radius and 0 <= row[base] <= radius]
 
 
 @record
@@ -312,74 +313,81 @@ def check_schutz_action(m, h_element=None, radius=8, cap=DEFAULT_CAP,
     return check_schutz_action_finite(fm, gs.h_classes[gs.h_class_of[h]], radius=radius)
 
 
-def check_schutz_action_finite(fm, h_class, radius=8):
-    geo = _RClassGeometry(fm, h_class)
-    n = len(geo.vertices)
-    isometric = True
-    counterexample = None
-    for g, perm in enumerate(geo.vperms):
-        for u in range(n):
-            row = geo.dist[u]
-            prow = geo.dist[perm[u]]
-            for v in range(n):
-                if prow[perm[v]] != row[v]:
-                    isometric = False
-                    counterexample = (
-                        geo.group.rep_names[g],
-                        geo.vertex_name(u),
-                        geo.vertex_name(v),
-                        row[v],
-                        prow[perm[v]],
-                    )
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
+def _action_report(exact, group_order, rows, base, vperms, rep_names, vertex_name,
+                   radius, limit, notes):
+    """The report of a group acting on a digraph by the vertex permutations
+    vperms, named rep_names, from its distance rows on scale 1: an entry is
+    finite, INF, or a negative horizon stamp (distances.scaled_rows).
 
-    # from the base's eccentricity on, ball(rho) is the whole R-class, so
+    A pair is decided when neither entry is a stamp, and the last decided
+    pair whose entries differ is the counterexample.  The orbit-meet count at
+    rho uses the out-ball {v : 0 <= d(base, v) <= rho}; the covering radius
+    is the least lam < limit whose strong ball's translates cover every
+    vertex, and cocompactness fails when there is none.
+    """
+    counterexample = None
+    for name, perm in zip(rep_names, vperms):
+        for u, row in enumerate(rows):
+            image = list(map(rows[perm[u]].__getitem__, perm))
+            if image == row:
+                continue
+            for v, (a, b) in enumerate(zip(row, image)):
+                if a != b and a >= 0 and b >= 0:
+                    counterexample = (name, vertex_name(u), vertex_name(v),
+                                      decode(a).format(), decode(b).format())
+
+    out = rows[base]
+    # past the base's largest finite entry the out-ball stops growing, so
     # the count repeats there
-    eccentricity = max(geo.dist[geo.base])
+    reach = max(d for d in out if 0 <= d < INF)
     sizes = []
     for rho in range(1, radius + 1):
-        if rho <= eccentricity or rho == 1:
-            ball = set(geo.out_ball(rho))
-            meets = sum(
-                1 for perm in geo.vperms if any(perm[v] in ball for v in ball)
-            )
+        if rho <= reach or rho == 1:
+            ball = {v for v, d in enumerate(out) if 0 <= d <= rho}
+            meets = sum(1 for perm in vperms if any(perm[v] in ball for v in ball))
         sizes.append((rho, meets))
 
-    h_ids = sorted(set(geo.h_of_vertex))
     covering = None
-    lam = 0
-    while covering is None:
-        met = {geo.h_of_vertex[v] for v in geo.strong_ball(lam)}
-        if all(h in met for h in h_ids):
+    for lam in range(limit):
+        strong = _strong_ball(rows, base, lam)
+        hit = set()
+        for perm in vperms:
+            hit.update(perm[v] for v in strong)
+        if len(hit) == len(rows):
             covering = lam
-        else:
-            lam += 1
+            break
     return ActionReport(
-        exact=True,
-        group_order=geo.group.order,
-        isometric=isometric,
+        exact=exact,
+        group_order=group_order,
+        isometric=counterexample is None,
         counterexample=counterexample,
         outward_proper=True,
         orbit_meet_sizes=sizes,
-        cocompact=True,
+        cocompact=covering is not None,
         covering_radius=covering,
-        failed_radius=None,
-        notes=["exact: finite monoid, %d H-classes in the R-class" % len(h_ids)],
+        failed_radius=None if covering is not None else radius,
+        notes=notes,
     )
 
 
-def ball_h_class_of_identity(m, radius, cap=DEFAULT_CAP):
-    """In-ball evidence for the identity's H-class: elements mutually
-    reachable with the identity in both the right and the left ball."""
-    return _identity_h_class(m, radius, cap)[:2]
+def check_schutz_action_finite(fm, h_class, radius=8):
+    """The exact check on the R-class of h_class.
+
+    The group's orbits on the R-class are its H-classes (Green's lemma),
+    all of the size of H; every distance in the n-vertex R-class is at most
+    n - 1, so a covering radius below n always exists.
+    """
+    geo = _RClassGeometry(fm, h_class)
+    n = len(geo.vertices)
+    notes = ["exact: finite monoid, %d H-classes in the R-class" % (n // len(geo.group.h_class))]
+    return _action_report(True, geo.group.order, geo.dist, geo.base, geo.vperms,
+                          geo.group.rep_names, geo.vertex_name, radius, n, notes)
 
 
 def _identity_h_class(m, radius, cap):
-    """ball_h_class_of_identity, plus the right ball's components."""
+    """In-ball evidence for the identity's H-class (the elements mutually
+    reachable with the identity in both the right and the left ball), the
+    right ball and its components."""
     rball = cayley.build_cayley_ball(m, radius, side=cayley.RIGHT, cap=cap)
     lball = cayley.build_cayley_ball(m, radius, side=cayley.LEFT, cap=cap)
     rscc = cayley.strongly_connected_components(rball)
@@ -393,83 +401,24 @@ def _identity_h_class(m, radius, cap):
 def check_schutz_action_ball(m, radius, cap=DEFAULT_CAP):
     """Horizon-stamped evidence mode for infinite monoids."""
     h_class, rball, rscc = _identity_h_class(m, radius, cap)
-    hkeys = {h.key for h in h_class}
-    pos = {h.key: k for k, h in enumerate(h_class)}
     # stabilizer candidates are drawn from the ball only: evidence
-    seen = {}
-    order = []
-    reps = []
-    for s in rball.vertices:
-        images = [m.multiply(s, h) for h in h_class]
-        if {x.key for x in images} != hkeys:
-            continue
-        perm = tuple(pos[x.key] for x in images)
-        if perm not in seen:
-            seen[perm] = s
-            order.append(perm)
-            reps.append(s)
-
+    perms, reps = _stabilizer(rball.vertices, [h.key for h in h_class],
+                              lambda s, h: m._mul_key(s.key, h))
     graph = cayley.base_component(rball, rscc)
-    nverts = len(graph.vertices)
     vkey = {v.key: i for i, v in enumerate(graph.vertices)}
     vperms = []
-    usable = []
+    rep_names = []
     notes = ["evidence: ball radius %d, group scanned within ball" % radius]
-    for k, s in enumerate(reps):
-        images = [m.multiply(s, v) for v in graph.vertices]
-        if all(x.key in vkey for x in images):
-            vperms.append([vkey[x.key] for x in images])
-            usable.append(k)
+    for s in reps:
+        images = [m._mul_key(s.key, v.key) for v in graph.vertices]
+        if all(x in vkey for x in images):
+            vperms.append([vkey[x] for x in images])
+            rep_names.append(m.element_name(s))
         else:
             notes.append("action of %s leaves the explored component"
                          % m.element_name(s))
-
-    # rows on scale 1: a pair is decided when neither entry is a stamp (< 0)
-    rows = graph.distance_rows()
-    isometric = True
-    counterexample = None
-    for k, perm in zip(usable, vperms):
-        for u in range(nverts):
-            for v in range(nverts):
-                a = rows[u][v]
-                b = rows[perm[u]][perm[v]]
-                if a >= 0 and b >= 0 and a != b:
-                    isometric = False
-                    counterexample = (m.element_name(reps[k]), graph.name(u),
-                                      graph.name(v), decode(a).format(), decode(b).format())
-
-    def within(u, v, rho):
-        return 0 <= rows[u][v] <= rho
-
-    base = 0
-    sizes = []
-    for rho in range(1, radius + 1):
-        ball = {v for v in range(nverts) if within(base, v, rho)}
-        meets = sum(1 for perm in vperms if any(perm[v] in ball for v in ball))
-        sizes.append((rho, meets))
-
-    covering = None
-    for lam in range(radius):
-        strong = [v for v in range(nverts)
-                  if within(base, v, lam) and within(v, base, lam)]
-        hit = set()
-        for perm in vperms:
-            hit.update(perm[v] for v in strong)
-        if len(hit) == nverts:
-            covering = lam
-            break
-    return ActionReport(
-        exact=False,
-        group_order=len(order),
-        isometric=isometric,
-        counterexample=counterexample,
-        outward_proper=True,
-        orbit_meet_sizes=sizes,
-        cocompact=covering is not None,
-        covering_radius=covering,
-        failed_radius=None if covering is not None else radius,
-        notes=notes,
-    )
+    return _action_report(False, len(perms), graph.distance_rows(), 0, vperms,
+                          rep_names, graph.name, radius, radius, notes)
 
 
 # -- Svarc-Milnor generating sets ---------------------------------------------
@@ -503,7 +452,7 @@ def svarc_milnor(fm, h_class, ball_radius=1, l=1):
     geo = _RClassGeometry(fm, h_class)
     group = geo.group
     x0 = geo.base
-    ball = geo.strong_ball(ball_radius)
+    ball = _strong_ball(geo.dist, x0, ball_radius)
     s_set = []
     for g, perm in enumerate(geo.vperms):
         translate = [perm[v] for v in ball]

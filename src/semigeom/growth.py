@@ -195,28 +195,42 @@ class EndsProfile:
     horizon: int
 
 
-def _sphere_components(lengths, adjacency, k, sphere):
-    """Components of the subgraph on {l > k} that meet the given sphere."""
-    n = len(lengths)
-    seen = [False] * n
-    hits = 0
-    for s in range(n):
-        if seen[s] or lengths[s] <= k:
-            continue
-        seen[s] = True
-        queue = [s]
-        touches = False
-        while queue:
-            u = queue.pop()
-            if lengths[u] == sphere:
-                touches = True
+def _end_counts(lengths, adjacency, sphere, kmax):
+    """For k = 0..kmax, the number of components of the subgraph on
+    {k < l <= sphere} that meet the sphere {l = sphere}.
+
+    One union-find sweep adds the depth layers from the sphere inward: a
+    whole layer first (only the sphere's vertices are live roots), then
+    its edges to vertices of depth d..sphere.  Joining two live roots
+    leaves one, and once layer d is in, the live roots number e(d - 1).
+    """
+    layers = [[] for _ in range(sphere + 1)]
+    for v, depth in enumerate(lengths):
+        if depth <= sphere:
+            layers[depth].append(v)
+    parent = list(range(len(lengths)))
+    live = [depth == sphere for depth in lengths]
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    counts = [0] * (kmax + 1)
+    alive = len(layers[sphere])
+    for d in range(sphere, 0, -1):
+        for u in layers[d]:
             for v in adjacency[u]:
-                if not seen[v] and lengths[v] > k:
-                    seen[v] = True
-                    queue.append(v)
-        if touches:
-            hits += 1
-    return hits
+                if d <= lengths[v] <= sphere:
+                    a, b = find(u), find(v)
+                    if a != b:
+                        if live[a] and live[b]:
+                            alive -= 1
+                        parent[a] = b
+                        live[b] = live[b] or live[a]
+        if d - 1 <= kmax:
+            counts[d - 1] = alive
+    return tuple(counts)
 
 
 def ends_profile(m, kmax, r, cap=DEFAULT_CAP):
@@ -237,17 +251,9 @@ def ends_profile(m, kmax, r, cap=DEFAULT_CAP):
             adjacency[j].add(i)
 
     ks = tuple(range(kmax + 1))
-    counts = tuple(_sphere_components(lengths, adjacency, k, r) for k in ks)
+    counts = _end_counts(lengths, adjacency, r, kmax)
     # the radius-(r-1) ball is the induced subgraph on {l <= r-1}
-    keep = [i for i in range(len(lengths)) if lengths[i] <= r - 1]
-    remap = {old: new for new, old in enumerate(keep)}
-    in_lengths = [lengths[i] for i in keep]
-    in_adj = [
-        {remap[v] for v in adjacency[i] if lengths[v] <= r - 1} for i in keep
-    ]
-    counts_inner = tuple(
-        _sphere_components(in_lengths, in_adj, k, r - 1) for k in ks
-    )
+    counts_inner = _end_counts(lengths, adjacency, r - 1, kmax)
 
     top = ks[len(ks) // 2:]
     stable_n = counts[top[0]]

@@ -16,13 +16,13 @@ from semigeom.errors import NotAnHClass, NotFinite, NotGenerating, ProvedInfinit
 from semigeom.geometry import Space, check_qi_embedding, quasi_density
 from semigeom.green import (
     FiniteMonoid,
-    ball_h_class_of_identity,
     check_schutz_action,
     check_schutz_action_finite,
     schutz_group,
     svarc_milnor,
 )
 from semigeom.monoids import (
+    DEFAULT_CAP,
     RewritingMonoid,
     TransformationMonoid,
     enumerate_all,
@@ -244,7 +244,7 @@ def per_radius_orbit_meets(fm, h_class, radius):
     geo = green._RClassGeometry(fm, h_class)
     sizes = []
     for rho in range(1, radius + 1):
-        ball = set(geo.out_ball(rho))
+        ball = {v for v, d in enumerate(geo.dist[geo.base]) if d <= rho}
         sizes.append((rho, sum(1 for perm in geo.vperms
                                if any(perm[v] in ball for v in ball))))
     return sizes, max(geo.dist[geo.base])
@@ -290,10 +290,10 @@ def test_action_evidence_bicyclic():
 
 def test_ball_h_class_of_identity():
     m = catalog.monoid("bicyclic")
-    h, _ball = ball_h_class_of_identity(m, 6)
+    h, _ball = green._identity_h_class(m, 6, DEFAULT_CAP)[:2]
     assert [m.element_name(x) for x in h] == ["ε"]
     mz = catalog.monoid("integers")
-    h2, _ = ball_h_class_of_identity(mz, 3)
+    h2, _ = green._identity_h_class(mz, 3, DEFAULT_CAP)[:2]
     assert {mz.element_name(x) for x in h2} >= {"ε", "p", "q"}
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import free_comm_system
 from semigeom import catalog, growth
 from semigeom.errors import CapExceeded
+from semigeom.geometry import check_product_projection_qi
 from semigeom.growth import (
     EndsProfile,
     Exponential,
@@ -28,7 +29,6 @@ from semigeom.growth import (
     Witness,
     check_domination,
     classify_growth,
-    _sphere_components,
     dominates_within,
     ends_profile,
     growth_sequence,
@@ -280,7 +280,60 @@ def test_ends_validation():
         ends_profile(m, 5, 5)
 
 
-# -- ends from the ball's edges against the re-multiplied adjacency --------------------
+# -- quasi-isometry invariants of M and M x G ------------------------------------------
+
+
+INFINITE_CATALOG = ["free1", "free2", "free-comm1", "free-comm2", "free-comm3",
+                    "bicyclic", "integers"]
+
+
+@pytest.mark.parametrize("factor", ["z2", "z3"])
+@pytest.mark.parametrize("name", INFINITE_CATALOG)
+def test_product_with_a_finite_group_keeps_the_invariants(name, factor):
+    # M x G projects onto M with fibers of diameter 1, so the two are
+    # quasi-isometric and share growth and ends
+    m = catalog.monoid(name)
+    pm = catalog.product(name, factor)
+    assert check_product_projection_qi(pm, 4).ok
+    a, b = growth_sequence(m, 8), growth_sequence(pm, 8)
+    assert dominates_within(a, b, 4, 8) is not None
+    assert dominates_within(b, a, 4, 8) is not None
+    base, prod = ends_profile(m, 4, 8).verdict, ends_profile(pm, 4, 8).verdict
+    if isinstance(base, Stable):
+        assert prod == base
+    else:
+        # e(0, r) alone may differ: the rest of the identity's fiber stays in
+        # and joins branches that removing the identity separates in M
+        assert isinstance(base, GrowingAtLeast) and isinstance(prod, GrowingAtLeast)
+        assert prod.counts[1:] == base.counts[1:]
+
+
+# -- ends against the re-multiplied adjacency and the per-k component search ----------
+
+
+def _sphere_components(lengths, adjacency, k, sphere):
+    """Components of the subgraph on {l > k} that meet the given sphere,
+    by one search per component (ends_profile's former count)."""
+    n = len(lengths)
+    seen = [False] * n
+    hits = 0
+    for s in range(n):
+        if seen[s] or lengths[s] <= k:
+            continue
+        seen[s] = True
+        queue = [s]
+        touches = False
+        while queue:
+            u = queue.pop()
+            if lengths[u] == sphere:
+                touches = True
+            for v in adjacency[u]:
+                if not seen[v] and lengths[v] > k:
+                    seen[v] = True
+                    queue.append(v)
+        if touches:
+            hits += 1
+    return hits
 
 
 def reference_ends_profile(m, kmax, r, cap):
@@ -342,6 +395,15 @@ def test_ends_matches_remultiplied_adjacency(name, cases):
                 ends_profile(m, kmax, r, cap=cap)
         else:
             assert ends_profile(m, kmax, r, cap=cap) == want
+
+
+@pytest.mark.parametrize("factor", [None, "z2", "z3"])
+@pytest.mark.parametrize("name", catalog.names())
+def test_ends_sweep_matches_per_k_searches(name, factor):
+    m = catalog.monoid(name) if factor is None else catalog.product(name, factor)
+    for r in range(1, 8):
+        for kmax in range(r):
+            assert ends_profile(m, kmax, r) == reference_ends_profile(m, kmax, r, 10**6)
 
 
 def test_ends_makes_one_product_per_slot():
@@ -457,6 +519,13 @@ def test_growth_counts_match_enumeration_on_drawn_systems(system):
     assert proved_infinite(m) == (elements is None)
     if elements is not None:
         assert growth_sequence(m, 30).values[-1] == len(elements)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(complete_systems(), st.integers(1, 6))
+def test_ends_sweep_matches_per_k_searches_on_drawn_systems(system, r):
+    m = RewritingMonoid(system)
+    assert ends_profile(m, r - 1, r) == reference_ends_profile(m, r - 1, r, 10**6)
 
 
 @pytest.mark.parametrize("name, mmax", [("free2", 6), ("bicyclic", 8), ("integers", 9),

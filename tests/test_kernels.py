@@ -14,8 +14,9 @@ the next one the full multiplication table that Green's relations, the
 Schutzenberger groups and the congruence test used to read, the next one
 the backend products that FiniteMonoid now derives from words and the
 exhaustive associativity scan that Light's test replaced, the next one the
-four loops that monoids.explore replaced, and the last one the per-pair
-ExtDist loop that the evidence-mode action check ran before it read rows.
+four loops that monoids.explore replaced, the next one the per-pair
+ExtDist loop that the evidence-mode action check ran before it read rows,
+and the last one the finite-mode action check's own loops.
 """
 
 import random
@@ -56,7 +57,7 @@ from semigeom.geometry import (
     space_from_ball,
     symmetrize,
 )
-from semigeom.green import FiniteMonoid, svarc_milnor
+from semigeom.green import FiniteMonoid, check_schutz_action_finite, svarc_milnor
 from semigeom.monoids import TableMonoid, TransformationMonoid, enumerate_all
 
 # -- references ------------------------------------------------------------------
@@ -1907,3 +1908,85 @@ def test_evidence_action_on_stubbed_entries(monkeypatch, stub, isometric,
     assert got == reference_check_schutz_action_ball(m, 2)
     assert (got.isometric, got.counterexample, got.orbit_meet_sizes) == (
         isometric, counterexample, meets)
+
+
+# -- finite-mode action against its own loops -----------------------------------
+
+
+def reference_check_schutz_action_finite(fm, h_class, radius=8):
+    """green.check_schutz_action_finite as it ran its own loops: the first
+    counterexample, the out-ball rebuilt up to the base's eccentricity, and
+    the least covering radius found by the strong ball meeting every H-class
+    of the R-class, with no bound on the search."""
+    geo = green._RClassGeometry(fm, h_class)
+    n = len(geo.vertices)
+    counterexample = None
+    for g, perm in enumerate(geo.vperms):
+        for u in range(n):
+            row = geo.dist[u]
+            prow = geo.dist[perm[u]]
+            for v in range(n):
+                if prow[perm[v]] != row[v]:
+                    counterexample = (geo.group.rep_names[g], geo.vertex_name(u),
+                                      geo.vertex_name(v), row[v], prow[perm[v]])
+                    break
+            if counterexample:
+                break
+        if counterexample:
+            break
+
+    out = geo.dist[geo.base]
+    eccentricity = max(out)
+    sizes = []
+    for rho in range(1, radius + 1):
+        if rho <= eccentricity or rho == 1:
+            ball = {v for v in range(n) if out[v] <= rho}
+            meets = sum(1 for perm in geo.vperms if any(perm[v] in ball for v in ball))
+        sizes.append((rho, meets))
+
+    h_class_of = fm.green().h_class_of
+    h_of_vertex = [h_class_of[x] for x in geo.vertices]
+    h_ids = sorted(set(h_of_vertex))
+    covering = None
+    lam = 0
+    while covering is None:
+        strong = [v for v in range(n) if out[v] <= lam and geo.dist[v][geo.base] <= lam]
+        if set(h_ids) <= {h_of_vertex[v] for v in strong}:
+            covering = lam
+        else:
+            lam += 1
+    return green.ActionReport(
+        exact=True,
+        group_order=geo.group.order,
+        isometric=counterexample is None,
+        counterexample=counterexample,
+        outward_proper=True,
+        orbit_meet_sizes=sizes,
+        cocompact=True,
+        covering_radius=covering,
+        failed_radius=None,
+        notes=["exact: finite monoid, %d H-classes in the R-class" % len(h_ids)],
+    )
+
+
+# T2, T3, T4 and the first seeded random transformation monoids of degree 3-4
+ACTION_MONOIDS = [("t2", lambda: catalog.monoid("t2")), ("t3", lambda: catalog.monoid("t3")),
+                  ("t4", t4_monoid)] + [
+    ("random-%d" % seed, lambda seed=seed: rand_transformation_monoid(random.Random(seed)))
+    for seed in range(40)
+    if rand_transformation_monoid(random.Random(seed)).degree >= 3
+][:11]
+
+
+@pytest.mark.parametrize("name,make", ACTION_MONOIDS, ids=[a[0] for a in ACTION_MONOIDS])
+def test_finite_action_matches_its_own_loops(name, make):
+    fm = FiniteMonoid(make())
+    for h_class in fm.green().h_classes:
+        geo = green._RClassGeometry(fm, h_class)
+        eccentricity = max(geo.dist[geo.base])
+        for radius in range(eccentricity + 4):
+            got = check_schutz_action_finite(fm, h_class, radius=radius)
+            want = reference_check_schutz_action_finite(fm, h_class, radius=radius)
+            assert got.counterexample is None and want.counterexample is None
+            for attr in green.ActionReport.__annotations__:
+                assert getattr(got, attr) == getattr(want, attr), (h_class, radius, attr)
