@@ -11,8 +11,10 @@ generate), 2 for input errors.
 """
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 import time
 from fractions import Fraction
@@ -566,13 +568,20 @@ def cmd_quotient(args):
 
 
 def build_parser():
+    """The parser of every command in COMMANDS.  The terminal width is read
+    once, when the parser is built, where argparse alone would probe it for
+    each formatter it makes; help wraps at that width less 2, as argparse's
+    default formatter does."""
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="semigeom",
         description="Coarse geometry of finitely generated monoids.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, formatter_class=formatter)
         p.set_defaults(func=handler)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)

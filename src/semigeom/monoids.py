@@ -9,6 +9,7 @@ every Cayley graph as a successor table (Froidure & Pin 1997); its order
 over the ordered generator list is canonical on every ball.
 """
 
+import sys
 from collections import namedtuple
 from collections.abc import Hashable
 
@@ -197,7 +198,6 @@ class TransformationMonoid(Monoid):
         self.degree = degree
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
-        self._identity_key = tuple(range(self.degree))
         for gen in generators:
             if not (isinstance(gen, (list, tuple)) and len(gen) == 2):
                 raise ValueError("generator %r is not a (symbol, images) pair" % (gen,))
@@ -210,6 +210,10 @@ class TransformationMonoid(Monoid):
             if not ok:
                 raise ValueError("generator %r has bad image list %r" % (sym, images))
             self._add_generator(sym, images)
+        # after the image lists, so a bad one fails before any degree-sized build
+        if degree > sys.maxsize:
+            raise ValueError("degree %d is too large to be a size" % degree)
+        self._identity_key = tuple(range(degree))
 
     def _mul_key(self, a, b):
         return tuple(map(b.__getitem__, a))

@@ -86,13 +86,16 @@ class RewritingSystem:
                 )
             norm_rules.append(Rule(lhs, rhs))
         self.rules = tuple(norm_rules)
-        # a rule can only fire right after its last symbol was appended
+        # a rule can only fire right after its last symbol was appended; per
+        # symbol, (length, {lhs: (declaration order, reversed rhs)}) by length,
+        # and the first declared rule keeps a shared lhs
         by_last = {}
-        for rule in self.rules:
-            by_last.setdefault(rule.lhs[-1], []).append(
-                (list(rule.lhs), len(rule.lhs), rule.rhs[::-1])
-            )
-        self._rules_by_last = by_last
+        for order, rule in enumerate(self.rules):
+            by_length = by_last.setdefault(rule.lhs[-1], {})
+            by_length.setdefault(len(rule.lhs), {}).setdefault(
+                rule.lhs, (order, rule.rhs[::-1]))
+        self._rules_by_last = {sym: sorted(by_length.items())
+                               for sym, by_length in by_last.items()}
         self.completeness = UNVERIFIED
         if verify:
             failure = self.check_complete()
@@ -135,23 +138,29 @@ class RewritingSystem:
         irreducible and both words must be over the alphabet, as normal
         forms returned by normalize() are.
         """
+        if len(v) == 1 and v[0] not in self._rules_by_last:
+            return tuple(u) + tuple(v)
         return self._rewrite(list(u), v)
 
     def _rewrite(self, out, word):
         """Feed word's symbols onto the irreducible prefix out, rewriting
-        as normalize() describes; only the rules ending in the symbol just
-        appended are tried."""
+        as normalize() describes.  After each append the suffix of out is
+        looked up once per left-side length among the rules ending in the
+        symbol just appended; of the hits, the first declared fires."""
         rules_by_last = self._rules_by_last
         pending = list(word)
         pending.reverse()
         while pending:
             sym = pending.pop()
             out.append(sym)
-            for lhs, n, rev_rhs in rules_by_last.get(sym, ()):
-                if out[-n:] == lhs:
-                    del out[-n:]
-                    pending.extend(rev_rhs)
-                    break
+            hit = None
+            for size, table in rules_by_last.get(sym, ()):
+                found = table.get(tuple(out[-size:]))
+                if found is not None and (hit is None or found < hit):
+                    hit, n = found, size
+            if hit is not None:
+                del out[-n:]
+                pending.extend(hit[1])
         return tuple(out)
 
     def critical_pairs(self):

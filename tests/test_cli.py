@@ -613,17 +613,23 @@ REWRITING = {"kind": "rewriting", "alphabet": ["a", "b"], "rules": []}
      "transformation monoid 'generators' entry 5 is not a list"),
     (dict(TABLE, elements=[["x"], "a"], table=[[0, 1], [1, 0]]),
      "table monoid 'elements' entry: ['x'] is not a string"),
+    (dict(TRANSFORMATION, degree=10**30, generators=[["s", [0]]]),
+     "generator 's' has bad image list (0,)"),
+    (dict(TRANSFORMATION, degree=10**30, generators=[]),
+     "degree %d is too large to be a size" % 10**30),
 ], ids=["table-float", "table-bool", "table-row", "table-shape", "image-float",
         "image-bool", "image-list", "generator-pair", "degree-float",
         "transformation-duplicate-symbol", "table-duplicate-symbol",
         "extra-generator-duplicate-symbol", "list-symbol", "table-unknown-generator",
         "table-unknown-identity", "table-unknown-entry", "product-without-right",
         "not-an-object", "alphabet-int", "alphabet-ints", "rule-int", "rule-single",
-        "extra-generators-int", "generators-int", "elements-list"])
+        "extra-generators-int", "generators-int", "elements-list", "degree-before-images",
+        "degree-too-large"])
 def test_bad_monoid_descriptions_exit_2(capsys, tmp_path, desc, reason):
     # each was once accepted with ambiguous output, truncated to an int, or
     # ended in a TypeError, a bare key, Python's own "not enough values to
-    # unpack" or a traceback
+    # unpack" or a traceback; a large degree once built its identity before
+    # the image lists were read
     path = write_json(tmp_path, "bad.monoid", desc)
     code, out, err = run(capsys, "green", "--monoid", path)
     assert code == 2 and out == ""
@@ -1108,6 +1114,57 @@ def test_parser_bytes_are_pinned(monkeypatch, argv):
     for name, value in SURFACE_ENV.items():
         monkeypatch.setenv(name, value)
     assert surface_case(argv) == pinned[" ".join(argv)]
+
+
+def reference_build_parser():
+    """build_parser() with argparse's default formatter, which reads the
+    terminal width for every formatter it builds."""
+    import argparse
+
+    from semigeom.cli import COMMANDS
+
+    parser = argparse.ArgumentParser(
+        prog="semigeom",
+        description="Coarse geometry of finitely generated monoids.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=handler)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200", None])
+def test_parser_reads_the_width_once_and_prints_the_default_bytes(monkeypatch, columns):
+    # compared with the reference on the running Python, so this holds on
+    # versions whose bytes are not pinned too
+    import shutil
+
+    from semigeom import cli
+
+    for name in ("FORCE_COLOR", "PYTHON_COLORS", "COLUMNS"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NO_COLOR", "1")
+    if columns is not None:
+        monkeypatch.setenv("COLUMNS", columns)
+    probes = []
+    probe = shutil.get_terminal_size
+
+    def counted(*args):
+        probes.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    build_parser = cli.build_parser
+    for argv in SURFACE_CASES:
+        probes.clear()
+        got = surface_case(argv)
+        assert len(probes) == 1, argv
+        monkeypatch.setattr(cli, "build_parser", reference_build_parser)
+        assert surface_case(argv) == got, argv
+        monkeypatch.setattr(cli, "build_parser", build_parser)
 
 
 if __name__ == "__main__":

@@ -274,34 +274,54 @@ def test_normal_product_is_normal_form_of_concatenation(system):
 
 
 SMALL_ALPHABET = ("a", "b", "c")
-small_words = st.lists(st.sampled_from(SMALL_ALPHABET), max_size=3).map(tuple)
+DRAWN_ALPHABETS = [("a", "b"), SMALL_ALPHABET, ("x", "yy", "zzz"), ("a", "bc", "d", "ef")]
+
+
+def shortlex_oriented(alphabet, pairs):
+    """Each pair of distinct words as a rule from the larger to the
+    smaller in the shortlex order of the alphabet."""
+    rank = {a: i for i, a in enumerate(alphabet)}
+
+    def key(w):
+        return (len(w), [rank[s] for s in w])
+
+    return [(u, v) if key(v) < key(u) else (v, u) for u, v in pairs if u != v]
 
 
 @st.composite
 def unverified_systems(draw):
-    """Shortlex-reducing rule sets over a, b, c, complete or not."""
-    rules = []
-    for u, v in draw(st.lists(st.tuples(small_words, small_words), max_size=6)):
-        if u != v:
-            # ranks follow string order on this alphabet
-            rules.append((u, v) if (len(v), v) < (len(u), u) else (v, u))
-    return RewritingSystem(SMALL_ALPHABET, rules, verify=False)
+    """Shortlex-reducing rule sets, complete or not: left sides of length 1
+    to 4 over two to four symbols, some of several characters, and often a
+    second rule on a drawn left side, declared before or after it."""
+    alphabet = draw(st.sampled_from(DRAWN_ALPHABETS))
+    words = st.lists(st.sampled_from(alphabet), max_size=4).map(tuple)
+    rules = shortlex_oriented(alphabet, draw(st.lists(st.tuples(words, words), max_size=7)))
+    if rules and draw(st.booleans()):
+        # on a rejected system, which of the two fires decides the normal forms
+        lhs, _ = draw(st.sampled_from(rules))
+        shorter = st.lists(st.sampled_from(alphabet), max_size=len(lhs) - 1).map(tuple)
+        rules.insert(draw(st.integers(0, len(rules))), (lhs, draw(shorter)))
+    return RewritingSystem(alphabet, rules, verify=False)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(unverified_systems())
 def test_normalize_matches_unindexed_scan_on_drawn_systems(system):
-    for w in all_words(SMALL_ALPHABET, 6):
+    for w in all_words(system.alphabet, 6):
         assert system.normalize(w) == reference_normalize(system, w), (system, w)
+    # the scan's strategy decides a rejected system's witness
+    assert system.check_complete() == reference_check_complete(system, reference_normalize)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(unverified_systems())
 def test_normal_product_on_drawn_systems(system):
-    nfs = sorted({system.normalize(w) for w in all_words(SMALL_ALPHABET, 3)})
+    nfs = sorted({system.normalize(w) for w in all_words(system.alphabet, 3)})
     for u in nfs:
         for v in nfs:
-            assert system.normal_product(u, v) == system.normalize(u + v), (system, u, v)
+            want = system.normalize(u + v)
+            assert system.normal_product(u, v) == want, (system, u, v)
+            assert system.normal_product(list(u), list(v)) == want, (system, u, v)
 
 
 # -- critical pairs by index against the pairwise scan ----------------------------
@@ -326,24 +346,13 @@ def reference_critical_pairs(system):
     return pairs
 
 
-def reference_check_complete(system):
+def reference_check_complete(system, normalize=RewritingSystem.normalize):
     for peak, red1, red2 in reference_critical_pairs(system):
-        nf1 = system.normalize(red1)
-        nf2 = system.normalize(red2)
+        nf1 = normalize(system, red1)
+        nf2 = normalize(system, red2)
         if nf1 != nf2:
             return ConfluenceFailure(peak, nf1, nf2)
     return None
-
-
-def shortlex_oriented(alphabet, pairs):
-    """Each pair of distinct words as a rule from the larger to the
-    smaller in the shortlex order of the alphabet."""
-    rank = {a: i for i, a in enumerate(alphabet)}
-
-    def key(w):
-        return (len(w), [rank[s] for s in w])
-
-    return [(u, v) if key(v) < key(u) else (v, u) for u, v in pairs if u != v]
 
 
 @st.composite
