@@ -614,16 +614,22 @@ def search_quasi_isometry(source, target, lam_max, eps_max, mu_max, cap=10):
 def monoid_space(fm):
     """The whole finite monoid as a space under right Cayley distances,
     with the BFS depths as its rows on scale 1."""
+    return _depth_space(fm.names, fm.right)
+
+
+def _depth_space(names, succ):
+    """The space on names whose rows are the BFS depths of the graph
+    succ, on scale 1."""
     from .cayley import bfs
 
-    n = len(fm)
+    n = len(names)
     # a depth is below n; index -1 (unreached) is the last slot
     lookup = list(range(n)) + [INF]
     rows = []
     for s in range(n):
-        depth = bfs(fm.right, s)[0]
+        depth = bfs(succ, s)[0]
         rows.append(list(map(lookup.__getitem__, depth)) if -1 in depth else depth)
-    return Space(fm.names, (1, rows))
+    return Space(names, (1, rows))
 
 
 def is_congruence(fm, class_of):
@@ -680,18 +686,9 @@ def check_quotient_qi(fm, class_of):
     if witness is not None:
         raise NotACongruence(witness)
 
-    from .monoids import TableMonoid
+    from .green import _partition
 
-    classes = {}
-    for i, c in enumerate(class_of):
-        classes.setdefault(c, []).append(i)
-    ordered = sorted(classes.values(), key=lambda members: members[0])
-    cid = {}
-    for new, members in enumerate(ordered):
-        for i in members:
-            cid[class_of[i]] = new
-    phi = tuple(cid[c] for c in class_of)
-
+    ordered, phi = _partition(len(fm), class_of.__getitem__)
     source = monoid_space(fm)
     # word distances are integers: the decoded rows are on scale 1
     rows = source.decoded[1]
@@ -699,21 +696,6 @@ def check_quotient_qi(fm, class_of):
                 for members in ordered for x in members)
     r_bound = decode(worst)
 
-    names = [fm.names[members[0]] for members in ordered]
-    table = [
-        [phi[fm.product(a[0], b[0])] for b in ordered]
-        for a in ordered
-    ]
-    gen_names = []
-    for g in fm.gen_indices:
-        nm = names[phi[g]]
-        if nm not in gen_names and phi[g] != phi[fm.identity_index]:
-            gen_names.append(nm)
-    quotient = TableMonoid(names, table, phi[fm.identity_index], gen_names)
-
-    from .green import FiniteMonoid
-
-    target = monoid_space(FiniteMonoid(quotient))
     notes = []
     class_names = [[fm.names[i] for i in members] for members in ordered]
     if len(ordered) == 1 and len(fm) > 1:
@@ -723,6 +705,12 @@ def check_quotient_qi(fm, class_of):
         return QuotientReport(False, r_bound, None, None, None, class_names, notes)
     if r_bound.value == 0:
         notes.append("isometric-grade certificate (epsilon = 0)")
+    # a congruence class steps by a generator to the class of any
+    # member's product, so the quotient's Cayley graph is the image of
+    # the monoid's; generators in the identity's class or sharing a
+    # class add self-loops and parallel edges, which move no depth
+    target = _depth_space([fm.names[members[0]] for members in ordered],
+                          [[phi[y] for y in fm.right[members[0]]] for members in ordered])
     constants = QiConstants(1, r_bound.value, 0)
     report = check_quasi_isometry(phi, source, target, constants)
     return QuotientReport(
@@ -750,22 +738,18 @@ def check_product_projection_qi(pm, radius, cap=DEFAULT_CAP):
     ball cannot decide are skipped and counted.
     """
     from .cayley import build_cayley_ball
+    from .green import _partition
 
     prod_ball = build_cayley_ball(pm, radius, cap=cap)
     left_ball = build_cayley_ball(pm.left, radius, cap=cap)
-    phi = []
-    fibers = {}
-    for i, v in enumerate(prod_ball.vertices):
-        lk = v.key[0]
-        phi.append(left_ball.index[lk])
-        fibers.setdefault(lk, []).append(i)
-    phi = tuple(phi)
+    phi = tuple(left_ball.index[v.key[0]] for v in prod_ball.vertices)
+    fibers = _partition(len(phi), phi.__getitem__)[0]
 
     source = space_from_ball(prod_ball)
     scale, rows = source.decoded
     worst = 0
     skipped = 0
-    for members in fibers.values():
+    for members in fibers:
         for x in members:
             row = rows[x]
             for y in members:
@@ -781,7 +765,6 @@ def check_product_projection_qi(pm, radius, cap=DEFAULT_CAP):
     if not r_bound.is_finite():
         notes.append("a fiber is provably disconnected; no (1, R, 0) certificate")
         return ProjectionReport(False, r_bound, radius, None, None, skipped, notes)
-    emb = check_qi_embedding(phi, source, target, 1, r_bound.value)
-    mu = quasi_density(phi, source, target)
-    ok = emb.ok and mu.is_finite() and mu.value <= 0
-    return ProjectionReport(ok, r_bound, radius, emb, mu, skipped, notes)
+    report = check_quasi_isometry(phi, source, target, QiConstants(1, r_bound.value, 0))
+    return ProjectionReport(report.ok, r_bound, radius, report.embedding, report.mu,
+                            skipped, notes)

@@ -10,6 +10,7 @@ as its horizon stamp.
 """
 
 import math
+import sys
 
 from ._records import record
 from .cayley import build_cayley_ball
@@ -48,6 +49,8 @@ def growth_sequence(m, mmax, cap=DEFAULT_CAP):
     raised as soon as the ball passes the cap (the identity alone never
     does, as in enumeration).
     """
+    if mmax > sys.maxsize:
+        raise ValueError("mmax %d is too large to be a size" % mmax)
     if isinstance(m, RewritingMonoid) and not m.extra_generators:
         spheres = LeftSideAutomaton(m.system).counts()
     else:
@@ -203,10 +206,12 @@ def _end_counts(lengths, adjacency, sphere, kmax):
     whole layer first (only the sphere's vertices are live roots), then
     its edges to vertices of depth d..sphere.  Joining two live roots
     leaves one, and once layer d is in, the live roots number e(d - 1).
+    Layers past the ball's deepest vertex are empty; the sweep starts there.
     """
-    layers = [[] for _ in range(sphere + 1)]
+    deepest = min(sphere, max(lengths))
+    layers = [[] for _ in range(deepest + 1)]
     for v, depth in enumerate(lengths):
-        if depth <= sphere:
+        if depth <= deepest:
             layers[depth].append(v)
     parent = list(range(len(lengths)))
     live = [depth == sphere for depth in lengths]
@@ -217,8 +222,8 @@ def _end_counts(lengths, adjacency, sphere, kmax):
         return v
 
     counts = [0] * (kmax + 1)
-    alive = len(layers[sphere])
-    for d in range(sphere, 0, -1):
+    alive = live.count(True)
+    for d in range(deepest, 0, -1):
         for u in layers[d]:
             for v in adjacency[u]:
                 if d <= lengths[v] <= sphere:
@@ -242,6 +247,8 @@ def ends_profile(m, kmax, r, cap=DEFAULT_CAP):
     """
     if r < 1 or kmax >= r:
         raise ValueError("need 0 <= kmax < r with r >= 1")
+    if kmax > sys.maxsize:
+        raise ValueError("kmax %d is too large to be a size" % kmax)
     ball = build_cayley_ball(m, r, cap=cap)
     lengths = ball.lengths
     adjacency = [set() for _ in lengths]

@@ -791,6 +791,20 @@ def test_negative_counts_exit_2(capsys, argv):
                         % (option, value))
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["growth", "--monoid", "t3", "--mmax", str(10**30)],
+     "mmax %d is too large to be a size" % 10**30),
+    (["ends", "--monoid", "t3", "--kmax", str(10**30), "--radius", str(10**30 + 1)],
+     "kmax %d is too large to be a size" % 10**30),
+], ids=["mmax", "kmax"])
+def test_windows_too_large_to_be_a_size_exit_2(capsys, argv, reason):
+    # each once ended in an OverflowError traceback from a window-sized list
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == ["error: " + reason]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_growth_lambda_max_below_one_exits_2(capsys, value):
     code, out, err = run(capsys, "growth", "--monoid", "free2", "--other", "integers",

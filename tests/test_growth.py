@@ -254,6 +254,11 @@ def test_ends_finite_monoid():
     p = ends_profile(catalog.monoid("z3"), 2, 5)
     assert p.counts == (0, 0, 0)
     assert p.verdict == Stable(0)
+    # the sweep once allocated and walked one layer per radius value, so
+    # its cost grew with the radius and not with the ball
+    p = ends_profile(catalog.monoid("t3"), 2, 10**30)
+    assert p.counts == p.counts_inner == (0, 0, 0)
+    assert p.verdict == Stable(0) and p.horizon == 10**30
 
 
 def test_ends_bicyclic_columns():

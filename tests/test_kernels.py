@@ -11,12 +11,14 @@ Fraction arithmetic.  A later section keeps the separate searches that
 cayley.bfs replaced (ball distances with parent edges, R-class distances,
 Svarc word lengths, monoid_space, the component poset) as oracles too,
 the next one the full multiplication table that Green's relations, the
-Schutzenberger groups and the congruence test used to read, the next one
-the backend products that FiniteMonoid now derives from words and the
-exhaustive associativity scan that Light's test replaced, the next one the
-four loops that monoids.explore replaced, the next one the per-pair
-ExtDist loop that the evidence-mode action check ran before it read rows,
-and the last one the finite-mode action check's own loops.
+Schutzenberger groups and the congruence test used to read (with the
+quotient check that built, validated and enumerated the quotient's own
+table), the next one the backend products that FiniteMonoid now derives
+from words and the exhaustive associativity scan that Light's test
+replaced, the next one the four loops that monoids.explore replaced, the
+next one the per-pair ExtDist loop that the evidence-mode action check ran
+before it read rows, and the last one the finite-mode action check's own
+loops.
 """
 
 import random
@@ -33,21 +35,23 @@ from hypothesis import strategies as st
 from conftest import rand_transformation_monoid
 from semigeom import catalog, cayley, geometry, green, monoids
 from semigeom.cayley import build_cayley_ball, distance_table
-from semigeom.distances import INF, INFINITE, ZERO, beyond, finite, scaled_rows
-from semigeom.errors import (CapExceeded, InvalidSpace, NotFinite, NotGenerating,
-                             NotStronglyConnected)
+from semigeom.distances import INF, INFINITE, ZERO, beyond, decode, finite, scaled_rows
+from semigeom.errors import (CapExceeded, InvalidSpace, NotACongruence, NotFinite,
+                             NotGenerating, NotStronglyConnected)
 from semigeom.geometry import (
     EmbeddingReport,
     PairViolation,
     QiConstants,
+    QuotientReport,
     SearchResult,
     Space,
     Violation,
     certify_ball_rows,
     check_axioms,
     check_product_projection_qi,
-    check_quotient_qi,
     check_qi_embedding,
+    check_quasi_isometry,
+    check_quotient_qi,
     eps_grid,
     is_congruence,
     monoid_space,
@@ -1225,7 +1229,9 @@ def test_projection_fibers_match_distance_loop(left, right):
 # FiniteMonoid keeps only the generator translations on each side; the
 # references below are the full-table view it replaced: all n^2 products,
 # classes by comparing principal ideals, the stabilizer scan over table
-# rows, and the congruence test over every pair.
+# rows, and the congruence test over every pair.  The quotient check's
+# reference builds the quotient's table with FiniteMonoid.product,
+# validates it as a TableMonoid and enumerates it again before its BFS.
 
 
 class TableMonoidView:
@@ -1376,6 +1382,55 @@ def test_is_congruence_draws_reach_both_verdicts():
         assert seen[label, True] > 0, label
 
 
+def reference_check_quotient_qi(fm, class_of):
+    """The quotient check that built the quotient's table with fm.product,
+    validated it as a TableMonoid and enumerated it again as a
+    FiniteMonoid before its BFS."""
+    witness = is_congruence(fm, class_of)
+    if witness is not None:
+        raise NotACongruence(witness)
+    classes = {}
+    for i, c in enumerate(class_of):
+        classes.setdefault(c, []).append(i)
+    ordered = sorted(classes.values(), key=lambda members: members[0])
+    cid = {}
+    for new, members in enumerate(ordered):
+        for i in members:
+            cid[class_of[i]] = new
+    phi = tuple(cid[c] for c in class_of)
+
+    source = monoid_space(fm)
+    rows = source.decoded[1]
+    worst = max(max(map(rows[x].__getitem__, members))
+                for members in ordered for x in members)
+    r_bound = decode(worst)
+
+    names = [fm.names[members[0]] for members in ordered]
+    table = [[phi[fm.product(a[0], b[0])] for b in ordered] for a in ordered]
+    gen_names = []
+    for g in fm.gen_indices:
+        nm = names[phi[g]]
+        if nm not in gen_names and phi[g] != phi[fm.identity_index]:
+            gen_names.append(nm)
+    quotient = TableMonoid(names, table, phi[fm.identity_index], gen_names)
+    target = monoid_space(FiniteMonoid(quotient))
+    notes = []
+    class_names = [[fm.names[i] for i in members] for members in ordered]
+    if len(ordered) == 1 and len(fm) > 1:
+        notes.append("quotient is trivial; distances collapse to a point")
+    if not r_bound.is_finite():
+        notes.append("some class has infinite diameter; no (1, R, 0) certificate")
+        return QuotientReport(False, r_bound, None, None, None, class_names, notes)
+    if r_bound.value == 0:
+        notes.append("isometric-grade certificate (epsilon = 0)")
+    constants = QiConstants(1, r_bound.value, 0)
+    report = check_quasi_isometry(phi, source, target, constants)
+    return QuotientReport(
+        report.ok, r_bound, constants, report.embedding, report.mu,
+        class_names, notes,
+    )
+
+
 @pytest.mark.parametrize("name,make", GREEN_MONOIDS, ids=[g[0] for g in GREEN_MONOIDS])
 def test_quotient_matches_table_reference(name, make):
     fm = FiniteMonoid(make())
@@ -1385,6 +1440,7 @@ def test_quotient_matches_table_reference(name, make):
         if reference_is_congruence(view, class_of) is not None:
             continue
         report = check_quotient_qi(fm, class_of)
+        assert report == reference_check_quotient_qi(fm, class_of), label
         ordered = sorted({c: [i for i in range(len(fm)) if class_of[i] == c]
                           for c in class_of}.values())
         r_bound = ZERO
@@ -1398,6 +1454,28 @@ def test_quotient_matches_table_reference(name, make):
                         r_bound = d
         assert report.r_bound == r_bound, label
         assert report.classes == [[fm.names[i] for i in members] for members in ordered]
+
+
+def test_quotient_reads_no_product_table(monkeypatch):
+    """The quotient's space is the image of the monoid's right Cayley
+    graph: no product, no table validation, no second enumeration."""
+    fm = FiniteMonoid(catalog.monoid("t3"))
+    view = TableMonoidView(fm.monoid)
+    want = {}
+    for label, class_of in partitions(fm, view, random.Random("t3")):
+        if is_congruence(fm, class_of) is None:
+            want[label] = (class_of, reference_check_quotient_qi(fm, class_of))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quotient check must not call this")
+
+    monkeypatch.setattr(TableMonoid, "__init__", refuse)
+    monkeypatch.setattr(FiniteMonoid, "__init__", refuse)
+    monkeypatch.setattr(FiniteMonoid, "product", refuse)
+    monkeypatch.setattr(FiniteMonoid, "row", refuse)
+    assert {report.ok for _, report in want.values()} == {True, False}
+    for label, (class_of, report) in want.items():
+        assert check_quotient_qi(fm, class_of) == report, label
 
 
 def test_green_of_t5_makes_few_products():
@@ -1455,6 +1533,28 @@ def test_froidure_pin_pass_matches_backend(m):
 @pytest.mark.parametrize("name,make", GREEN_MONOIDS, ids=[g[0] for g in GREEN_MONOIDS])
 def test_froidure_pin_pass_matches_backend_on_green_monoids(name, make):
     assert_pass_matches_backend(make())
+
+
+def test_quotient_matches_reference_on_drawn_monoids():
+    """Every congruence among the partitions of drawn transformation
+    monoids gets the reference's report, and the draws reach both
+    verdicts."""
+    seen = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(transformation_monoids())
+    def collect(m):
+        # the table view makes every product, so large monoids are skipped
+        assume(enumerate_all(m, 120) is not None)
+        fm = FiniteMonoid(m)
+        for label, class_of in partitions(fm, TableMonoidView(m), random.Random(len(fm))):
+            if is_congruence(fm, class_of) is None:
+                report = check_quotient_qi(fm, class_of)
+                assert report == reference_check_quotient_qi(fm, class_of), label
+                seen[report.ok] += 1
+
+    collect()
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def reference_table_check(names, table, e):
