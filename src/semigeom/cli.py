@@ -567,11 +567,14 @@ def cmd_quotient(args):
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser():
+def build_parser(argv=None):
     """The parser of every command in COMMANDS.  The terminal width is read
     once, when the parser is built, where argparse alone would probe it for
     each formatter it makes; help wraps at that width less 2, as argparse's
-    default formatter does."""
+    default formatter does.  Given argv, a command gets its arguments only
+    if argv holds its name as a token, since argparse parses with the one
+    command the first positional token names; every sub-parser is still
+    made, so help and usage, which need only names, do not change."""
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
@@ -582,15 +585,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help, formatter_class=formatter)
-        p.set_defaults(func=handler)
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
+        if argv is None or name in argv:
+            p.set_defaults(func=handler)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

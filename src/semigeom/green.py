@@ -180,12 +180,13 @@ class SchutzGroup:
         self.perms = perms
         self.representatives = representatives
         self.rep_names = [fm.names[r] for r in representatives]
-        index = {p: k for k, p in enumerate(perms)}
-        m = len(perms)
-        self.table = [
-            [index[_compose(perms[a], perms[b])] for b in range(m)] for a in range(m)
-        ]
-        self.identity_index = index[tuple(range(len(h_class)))]
+        # the group acts simply transitively on H, so an action is fixed by
+        # the image of position 0, and (st)h_0 = s(t h_0)
+        first = {p[0]: k for k, p in enumerate(perms)}
+        if len(first) != len(perms):
+            raise AssertionError("two actions on %r agree at its first member" % h_class)
+        self.table = [[first[p[q[0]]] for q in perms] for p in perms]
+        self.identity_index = first[0]
 
     @property
     def order(self):
@@ -193,11 +194,6 @@ class SchutzGroup:
 
     def inverse(self, k):
         return self.table[k].index(self.identity_index)
-
-
-def _compose(p, q):
-    # action of the product st: first act by t, then by s
-    return tuple(p[q[i]] for i in range(len(p)))
 
 
 def _stabilizer(candidates, members, product):
@@ -227,13 +223,9 @@ def schutz_group(fm, h_class):
     """
     members = sorted(fm.element_index(x) for x in h_class)
     gs = fm.green()
-    if members not in [sorted(h) for h in gs.h_classes]:
+    if not members or gs.h_classes[gs.h_class_of[members[0]]] != members:
         raise NotAnHClass("%r is not an H-class" % [fm.names[i] for i in members])
-    group = SchutzGroup(fm, members, *_stabilizer(range(len(fm)), members, fm.product))
-    # sigma really is a congruence: composing two induced actions must
-    # land back in the computed set
-    assert all(v is not None for row in group.table for v in row)
-    return group
+    return SchutzGroup(fm, members, *_stabilizer(range(len(fm)), members, fm.product))
 
 
 # -- the action of G(H) on the Schutzenberger graph ---------------------------

@@ -13,6 +13,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semigeom
 from semigeom import catalog, cayley, descriptions
@@ -1130,9 +1132,10 @@ def test_parser_bytes_are_pinned(monkeypatch, argv):
     assert surface_case(argv) == pinned[" ".join(argv)]
 
 
-def reference_build_parser():
+def reference_build_parser(argv=None):
     """build_parser() with argparse's default formatter, which reads the
-    terminal width for every formatter it builds."""
+    terminal width for every formatter it builds.  It ignores argv and
+    gives every command its arguments."""
     import argparse
 
     from semigeom.cli import COMMANDS
@@ -1179,6 +1182,96 @@ def test_parser_reads_the_width_once_and_prints_the_default_bytes(monkeypatch, c
         monkeypatch.setattr(cli, "build_parser", reference_build_parser)
         assert surface_case(argv) == got, argv
         monkeypatch.setattr(cli, "build_parser", build_parser)
+
+
+def parse_outcome(parser, argv):
+    """[vars of the namespace or the SystemExit code, stdout, stderr] of
+    parsing argv."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return [result, out.getvalue(), err.getvalue()]
+
+
+def argv_tokens():
+    """Command names, every declared flag, values for them, flags joined to
+    a value with "=", help and the separators, and unknown or abbreviated
+    options."""
+    from semigeom.cli import COMMANDS
+
+    flags = sorted({flag for _, _, arguments in COMMANDS.values()
+                    for flag, _ in arguments})
+    values = ["0", "3", "-1", "1/2", "x", "free2", "t3", "table", "dot"]
+    return st.one_of(
+        st.sampled_from(list(COMMANDS) + flags),
+        st.sampled_from(values),
+        st.builds("{}={}".format, st.sampled_from(flags), st.sampled_from(values)),
+        st.sampled_from(["-h", "--help", "--", "-", "-1", "-x", "--rad", "--m",
+                         "--bogus", "bogus"]),
+    )
+
+
+@st.composite
+def command_calls(draw):
+    """A command with each required argument and some optional ones, each
+    flag with a value of its type, with a few drawn tokens put in."""
+    from semigeom.cli import COMMANDS
+
+    name = draw(st.sampled_from(list(COMMANDS)))
+    argv = [name]
+    for flag, kwargs in COMMANDS[name][2]:
+        if not (kwargs.get("required") or draw(st.booleans())):
+            continue
+        if kwargs.get("action") == "store_true":
+            argv.append(flag)
+        else:
+            value = st.sampled_from(kwargs.get("choices") or ["1", "2", "free2"])
+            argv += [flag, draw(value)]
+    for token in draw(st.lists(argv_tokens(), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(argv_tokens(), max_size=8), command_calls()))
+@example(["-x", "ball"])
+@example(["ball", "--radius", "0", "--monoid", "free2", "green"])
+@example(["--", "ball", "--monoid", "free2"])
+def test_parser_with_argv_parses_as_the_full_parser(argv):
+    # argparse parses with the command the first positional token names,
+    # which need not be argv[0]; every other command's arguments go unread
+    from semigeom.cli import build_parser
+
+    assert parse_outcome(build_parser(argv), argv) == parse_outcome(build_parser(), argv)
+
+
+def test_main_adds_only_the_named_commands_arguments(monkeypatch):
+    import argparse
+
+    from semigeom import cli
+
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *flags, **kwargs):
+        added.append(flags[0])
+        return add_argument(self, *flags, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["ball", "--monoid", "free2", "--radius", "1"]) == 0
+    # argparse's own -h on the top-level parser and on each sub-parser
+    ball = [flag for flag, _ in cli.COMMANDS["ball"][2]]
+    assert sorted(added) == sorted(["-h"] * (1 + len(cli.COMMANDS)) + ball)
+    added.clear()
+    cli.build_parser()
+    assert len(added) == 1 + len(cli.COMMANDS) + sum(
+        len(arguments) for _, _, arguments in cli.COMMANDS.values())
 
 
 if __name__ == "__main__":

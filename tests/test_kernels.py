@@ -1338,6 +1338,17 @@ def partitions(fm, view, rng):
     return out
 
 
+def reference_schutz_table(perms):
+    """The group's table by composing actions: the action of st is first
+    t, then s."""
+
+    def compose(p, q):
+        return tuple(p[q[i]] for i in range(len(p)))
+
+    index = {p: k for k, p in enumerate(perms)}
+    return [[index[compose(p, q)] for q in perms] for p in perms]
+
+
 @pytest.mark.parametrize("name,make", GREEN_MONOIDS, ids=[g[0] for g in GREEN_MONOIDS])
 def test_green_relations_match_table_reference(name, make):
     fm = FiniteMonoid(make())
@@ -1351,8 +1362,28 @@ def test_green_relations_match_table_reference(name, make):
     for h_class in gs.h_classes:
         group = green.schutz_group(fm, h_class)
         assert (group.perms, group.representatives) == reference_schutz(view, h_class)
+        assert group.table == reference_schutz_table(group.perms)
+        assert group.perms[group.identity_index] == tuple(range(len(h_class)))
     assert fm.right == [[row[g] for g in fm.gen_indices] for row in view.table]
     assert fm.left == [[view.table[g][i] for g in fm.gen_indices] for i in range(len(fm))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(2, 4), st.integers(1, 3))
+def test_schutz_table_matches_composition_on_drawn_monoids(seed, degree, gens):
+    fm = FiniteMonoid(
+        rand_transformation_monoid(random.Random(seed), max_degree=degree, max_gens=gens))
+    for h_class in fm.green().h_classes:
+        group = green.schutz_group(fm, h_class)
+        assert group.table == reference_schutz_table(group.perms), h_class
+        assert group.perms[group.identity_index] == tuple(range(len(h_class)))
+
+
+def test_schutz_table_refuses_actions_that_agree_at_the_first_member():
+    fm = FiniteMonoid(catalog.monoid("t3"))
+    h_class = fm.green().h_classes[fm.green().h_class_of[fm.identity_index]]
+    with pytest.raises(AssertionError, match="agree at its first member"):
+        green.SchutzGroup(fm, h_class, [(0, 1, 2, 3, 4, 5), (0, 2, 1, 3, 5, 4)], [0, 1])
 
 
 @pytest.mark.parametrize("name,make", GREEN_MONOIDS, ids=[g[0] for g in GREEN_MONOIDS])
