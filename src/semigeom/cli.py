@@ -12,7 +12,6 @@ generate), 2 for input errors.
 
 import argparse
 import functools
-import json
 import os
 import shutil
 import sys
@@ -37,6 +36,8 @@ SEARCH_CAP = 10
 
 
 def _load_json(path):
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -459,6 +460,8 @@ def cmd_quasimetric(args):
 @command("symmetrize", "symmetrize a space, with certificates", SOURCE, EPSILON,
          ("--out", dict(help="write the space JSON here")))
 def cmd_symmetrize(args):
+    import json
+
     from . import geometry
 
     space = _load_space(args.source)
@@ -571,10 +574,11 @@ def build_parser(argv=None):
     """The parser of every command in COMMANDS.  The terminal width is read
     once, when the parser is built, where argparse alone would probe it for
     each formatter it makes; help wraps at that width less 2, as argparse's
-    default formatter does.  Given argv, a command gets its arguments only
-    if argv holds its name as a token, since argparse parses with the one
-    command the first positional token names; every sub-parser is still
-    made, so help and usage, which need only names, do not change."""
+    default formatter does.  Given argv, a command gets its arguments,
+    argparse's -h among them, only if argv holds its name as a token, since
+    argparse parses with, and prints the help of, only the command the
+    first positional token names; every sub-parser is still made, so help
+    and usage, which need only names, do not change."""
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
@@ -584,8 +588,9 @@ def build_parser(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help, formatter_class=formatter)
-        if argv is None or name in argv:
+        named = argv is None or name in argv
+        p = sub.add_parser(name, help=help, formatter_class=formatter, add_help=named)
+        if named:
             p.set_defaults(func=handler)
             for flag, kwargs in arguments:
                 p.add_argument(flag, **kwargs)
@@ -613,8 +618,7 @@ def main(argv=None):
         print("error: %s (raise --cap or use an evidence-mode command)" % e,
               file=sys.stderr)
         code = 2
-    except (SemigeomError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as e:
+    except (SemigeomError, ValueError, KeyError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         code = 2
     finally:
