@@ -570,15 +570,20 @@ def cmd_quotient(args):
 # -- parser -------------------------------------------------------------------
 
 
+def _sub_parser(named, **kwargs):
+    """The commands' parser_class: a parser if the call names the command."""
+    return argparse.ArgumentParser(**kwargs) if named else None
+
+
 def build_parser(argv=None):
     """The parser of every command in COMMANDS.  The terminal width is read
     once, when the parser is built, where argparse alone would probe it for
     each formatter it makes; help wraps at that width less 2, as argparse's
-    default formatter does.  Given argv, a command gets its arguments,
-    argparse's -h among them, only if argv holds its name as a token, since
-    argparse parses with, and prints the help of, only the command the
-    first positional token names; every sub-parser is still made, so help
-    and usage, which need only names, do not change."""
+    default formatter does.  Given argv, only a command whose name argv
+    holds as a token gets a parser, since argparse parses with, and prints
+    the help of, only the command the first positional token names; every
+    command keeps its name and help line, which are all that help, usage
+    and an invalid choice read."""
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
@@ -586,10 +591,10 @@ def build_parser(argv=None):
         description="Coarse geometry of finitely generated monoids.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_sub_parser)
     for name, (handler, help, arguments) in COMMANDS.items():
         named = argv is None or name in argv
-        p = sub.add_parser(name, help=help, formatter_class=formatter, add_help=named)
+        p = sub.add_parser(name, help=help, formatter_class=formatter, named=named)
         if named:
             p.set_defaults(func=handler)
             for flag, kwargs in arguments:

@@ -1248,12 +1248,21 @@ def command_calls(draw):
 @example(["-h", "ball"])
 @example(["green", "--monoid", "free2", "ball", "-h"])
 @example(["ball", "--radius", "0", "--monoid", "free2", "green", "--help"])
+@example([])
+@example(["-h"])
+@example(["bogus"])
+@example(["--", "-h"])
+@example(["-x"])
 def test_parser_with_argv_parses_as_the_full_parser(argv):
     # argparse parses with the command the first positional token names,
-    # which need not be argv[0]; every other command's arguments go unread
+    # which need not be argv[0]; every other command has no parser at all
     from semigeom.cli import build_parser
 
-    assert parse_outcome(build_parser(argv), argv) == parse_outcome(build_parser(), argv)
+    parser = build_parser(argv)
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert [name for name, p in sub.choices.items() if p is not None] == [
+        name for name in sub.choices if name in argv]
+    assert parse_outcome(parser, argv) == parse_outcome(build_parser(), argv)
 
 
 def test_main_adds_only_the_named_commands_arguments(monkeypatch):
@@ -1277,6 +1286,26 @@ def test_main_adds_only_the_named_commands_arguments(monkeypatch):
     cli.build_parser()
     assert len(added) == 1 + len(cli.COMMANDS) + sum(
         len(arguments) for _, _, arguments in cli.COMMANDS.values())
+
+
+def test_main_makes_a_parser_only_for_the_named_command(monkeypatch):
+    import argparse
+
+    from semigeom import cli
+
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["ball", "--monoid", "free2", "--radius", "1"]) == 0
+    assert made == ["semigeom", "semigeom ball"]
+    made.clear()
+    cli.build_parser()
+    assert len(made) == 1 + len(cli.COMMANDS)
 
 
 if __name__ == "__main__":

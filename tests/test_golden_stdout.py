@@ -35,12 +35,13 @@ from semigeom import cli  # noqa: E402
 RUNS = [(name, seed) for name in sorted(workloads.GENERATORS) for seed in (11, 12)]
 
 
-def run_jobs(name, seed):
-    """(argv, exit code, stdout) of every job, run in the current directory."""
+def run_jobs(name, seed, reverse=False):
+    """(argv, exit code, stdout) of every job, run in the current directory,
+    last job first if reverse."""
     jobs, files = workloads.generate(name, seed, os.path.join(".bench_work",
                                                               "%s-%d" % (name, seed)))
     workloads.write_files(files)
-    for job in jobs:
+    for job in reversed(jobs) if reverse else jobs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(job["argv"])
@@ -56,15 +57,26 @@ def load_manifest():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name,seed", RUNS, ids=["%s-%d" % run for run in RUNS])
-def test_stdout_matches_the_manifest(tmp_path, monkeypatch, name, seed):
-    monkeypatch.chdir(tmp_path)
-    want = load_manifest()["%s-%d" % (name, seed)]
-    got = list(run_jobs(name, seed))
+def check_against(want, got):
     assert [argv for argv, _code, _out in got] == [job[0] for job in want]
     for (argv, code, out), (_argv, want_code, want_sha) in zip(got, want):
         assert (code, digest(out)) == (want_code, want_sha), (
             "semigeom %s\nstdout begins:\n%s" % (" ".join(argv), out[:600]))
+
+
+@pytest.mark.parametrize("name,seed", RUNS, ids=["%s-%d" % run for run in RUNS])
+def test_stdout_matches_the_manifest(tmp_path, monkeypatch, name, seed):
+    monkeypatch.chdir(tmp_path)
+    check_against(load_manifest()["%s-%d" % (name, seed)], list(run_jobs(name, seed)))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.GENERATORS))
+def test_stdout_does_not_depend_on_the_order_of_the_jobs(tmp_path, monkeypatch, name):
+    # runs after the forward runs above, in the same process, so state that
+    # outlives a call (a cache keyed on less than its whole input) shows here
+    monkeypatch.chdir(tmp_path)
+    want = load_manifest()["%s-11" % name]
+    check_against(want[::-1], list(run_jobs(name, 11, reverse=True)))
 
 
 def test_manifest_covers_every_workload():
