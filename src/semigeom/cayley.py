@@ -23,10 +23,9 @@ from functools import cached_property
 from operator import add
 
 from .distances import INF, INFINITE, beyond, finite
-from .errors import CapExceeded, NotFinite
 # unused here; perfbench/selftest.py checks the tracer rebinds this from-import
 from .monoids import DEFAULT_CAP, Element, enumerate_all  # noqa: F401
-from .monoids import LEFT, RIGHT, explore
+from .monoids import LEFT, RIGHT, exhaust, explore
 
 
 def bfs(adj, s):
@@ -191,16 +190,13 @@ def build_cayley_ball(m, radius, side=RIGHT, base=None, cap=DEFAULT_CAP):
 
 
 def full_cayley_graph(m, side=RIGHT, cap=DEFAULT_CAP):
-    """The whole Cayley graph of a finite monoid, every vertex complete."""
-    # a monoid of at most cap elements has every word length below cap
-    try:
-        ball = build_cayley_ball(m, cap, side=side, cap=cap)
-    except CapExceeded:
-        raise NotFinite("monoid is not finite within cap %d" % cap) from None
+    """The whole Cayley graph of a finite monoid, every vertex complete;
+    monoids.exhaust's ProvedInfinite or NotFinite otherwise."""
+    table = exhaust(m, side, cap)
     # one step of slack past the longest word length keeps the horizon of
     # every distance outside the graph
-    ball.radius = len(ball) + 1
-    return ball
+    return CayleyBall(m, side, len(table.keys) + 1, m.identity, table.keys, table.index,
+                      table.lengths, table.succ)
 
 
 class SccResult:

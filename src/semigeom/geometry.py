@@ -455,13 +455,8 @@ def symmetrize(space, eps=0):
 
     back_lam = lam_p * lam_p
     back_eps = 2 * lam_p * eps
-    a, b, k = _linear(back_lam, back_eps, scale, scale)
-    backward_ok = not any(
-        a * rows[j][i] > b * dij + k
-        for i, row in enumerate(rows)
-        for j, dij in enumerate(row)
-        if i != j
-    )
+    # back_lam >= 4, so the least-lambda floor of 1 never decides this
+    backward_ok = quasi_metricity_lambda(space, back_eps) <= back_lam
     return SymmetrizeResult(
         space=sym,
         lam=lam,

@@ -1,7 +1,7 @@
 """Green's relations, Schutzenberger groups, and action checks.
 
 Everything here that claims exactness requires a finite monoid: the
-FiniteMonoid view reads the right Cayley graph from monoids.explore, one
+FiniteMonoid view reads the right Cayley graph from monoids.exhaust, one
 backend product per element and generator, and derives the left
 products, and any other product, from words in the generators.  Green's
 relations then come from the two Cayley graphs (Froidure & Pin 1997):
@@ -27,24 +27,17 @@ from functools import cached_property
 from . import cayley
 from ._records import field, record
 from .distances import INF, decode
-from .errors import (
-    PROBE_CAP,
-    CapExceeded,
-    NotAnHClass,
-    NotFinite,
-    NotGenerating,
-    ProvedInfinite,
-)
+from .errors import PROBE_CAP, NotAnHClass, NotFinite, NotGenerating
 # enumerate_all is unused here; perfbench/selftest.py checks the tracer
 # rebinds this from-import
-from .monoids import DEFAULT_CAP, Element, enumerate_all, proved_infinite  # noqa: F401
-from .monoids import explore
+from .monoids import DEFAULT_CAP, Element, enumerate_all  # noqa: F401
+from .monoids import exhaust
 
 
 class FiniteMonoid:
     """A fully enumerated monoid with its two Cayley graphs.
 
-    One Froidure-Pin pass, monoids.explore of the right Cayley graph,
+    One Froidure-Pin pass, monoids.exhaust of the right Cayley graph,
     enumerates the elements breadth-first from the identity over the
     ordered generators, so index 0 is the identity and indices are
     comparable across runs.  The pass makes one backend product per
@@ -60,12 +53,7 @@ class FiniteMonoid:
     """
 
     def __init__(self, monoid, cap=DEFAULT_CAP):
-        if proved_infinite(monoid):
-            raise ProvedInfinite("monoid is infinite")
-        try:
-            table = explore(monoid, cap=cap)
-        except CapExceeded:
-            raise NotFinite("monoid not exhausted within cap %d" % cap) from None
+        table = exhaust(monoid, cap=cap)
         self.monoid = monoid
         self.keys = table.keys
         self.index = table.index

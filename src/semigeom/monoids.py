@@ -13,7 +13,8 @@ import sys
 from collections import namedtuple
 from collections.abc import Hashable
 
-from .errors import DEFAULT_CAP, BackendMismatch, CapExceeded, UnknownSymbol
+from .errors import (DEFAULT_CAP, BackendMismatch, CapExceeded, NotFinite, ProvedInfinite,
+                     UnknownSymbol)
 from .rewriting import LeftSideAutomaton, RewritingSystem, format_word, parse_word
 
 RIGHT = "right"
@@ -411,8 +412,8 @@ class ProductMonoid(Monoid):
         self.right = right
         self._identity_key = (left._identity_key, right._identity_key)
         try:
-            probe = None if proved_infinite(right) else explore(right, cap=GROUP_PROBE_CAP)
-        except CapExceeded:
+            probe = exhaust(right, cap=GROUP_PROBE_CAP)
+        except NotFinite:
             probe = None
         # a finite monoid is a group exactly when right multiplication by
         # each generator permutes it
@@ -469,9 +470,9 @@ def direct_product(left, right):
 
 
 def proved_infinite(m):
-    """True when m is infinite by a proof that enumerates nothing: a
-    rewriting monoid whose left-side automaton has a reachable cycle, or a
-    product with such a factor.  False means unknown, not finite."""
+    """Whether m is infinite, decided with no product: table and transformation
+    monoids are finite, a rewriting monoid is infinite exactly when its
+    left-side automaton has a reachable cycle, and a product when a factor is."""
     if isinstance(m, RewritingMonoid):
         return not LeftSideAutomaton(m.system).is_finite()
     if isinstance(m, ProductMonoid):
@@ -500,8 +501,8 @@ def explore(m, radius=None, side=RIGHT, base=None, cap=DEFAULT_CAP):
     if side not in (RIGHT, LEFT):
         raise ValueError("side must be 'right' or 'left'")
     start = m._identity_key if base is None else base.key
-    # a search of at most cap vertices has every depth below cap
-    radius = cap if radius is None else radius
+    # within the cap every depth is below max(cap, 1): the base comes free
+    radius = cap + 1 if radius is None else radius
     on_right = side == RIGHT
     mul = m._mul_key
     gens = list(enumerate(m._gen_keys))
@@ -535,6 +536,18 @@ def explore(m, radius=None, side=RIGHT, base=None, cap=DEFAULT_CAP):
     return CayleyTable(keys, index, lengths, succ, parent, last)
 
 
+def exhaust(m, side=RIGHT, cap=DEFAULT_CAP):
+    """The whole monoid's Cayley graph on the given side, as explore finds
+    it.  Raises ProvedInfinite, before any product, when proved_infinite(m)
+    holds, and NotFinite when the (so finite) monoid outgrows the cap."""
+    if proved_infinite(m):
+        raise ProvedInfinite("monoid is infinite")
+    try:
+        return explore(m, side=side, cap=cap)
+    except CapExceeded:
+        raise NotFinite("monoid not exhausted within cap %d" % cap) from None
+
+
 def enumerate_out_ball(m, radius, cap=DEFAULT_CAP):
     """Elements at word length <= radius, breadth-first from the identity,
     in explore's order.  Raises CapExceeded when the ball grows past the
@@ -546,7 +559,7 @@ def enumerate_out_ball(m, radius, cap=DEFAULT_CAP):
 def enumerate_all(m, cap=DEFAULT_CAP):
     """All elements if the monoid is finite within the cap, else None."""
     try:
-        table = explore(m, cap=cap)
-    except CapExceeded:
+        table = exhaust(m, cap=cap)
+    except NotFinite:
         return None
     return [Element(m, k) for k in table.keys]

@@ -875,6 +875,22 @@ def test_finite_rewriting_monoid_beyond_the_probe_cap(capsys, tmp_path):
     assert "(raise --cap or use an evidence-mode command)" in err
 
 
+def test_cap_0_admits_only_the_identity(capsys):
+    # T3 has 27 elements and S3 as its units: a cap of 0 exhausts nothing
+    for command in ("green", "svarc"):
+        code, out, err = run(capsys, command, "--monoid", "t3", "--cap", "0")
+        assert code == 2 and out == ""
+        assert ("error: monoid not exhausted within cap 0 (raise --cap or use an "
+                "evidence-mode command)\n") in err
+    code, out, err = run(capsys, "act", "--monoid", "t3", "--cap", "0")
+    assert code == 2 and out == ""
+    assert "error: enumeration exceeded cap of 0 elements (raise --cap)\n" in err
+    code, out, _ = run(capsys, "schutz", "--monoid", "t3", "--probe-cap", "0")
+    assert code == 0 and out.startswith("mode: evidence\n")
+    code, out, _ = run(capsys, "green", "--monoid", "trivial", "--cap", "0")
+    assert code == 0 and out.startswith("elements: 1\n")
+
+
 def test_cold_import_stays_light():
     # -S: site preloads nothing, so every module listed was loaded by the code
     # run; importing dataclasses, which imports inspect, took about 15 ms of a

@@ -413,6 +413,10 @@ def test_finite_monoid_refuses_proved_infinite_without_enumerating(monkeypatch, 
     monkeypatch.setattr(m, "_mul_key", no_enumeration)
     with pytest.raises(ProvedInfinite, match="infinite"):
         FiniteMonoid(m)
+    for side in (cayley.RIGHT, cayley.LEFT):
+        with pytest.raises(ProvedInfinite, match="infinite"):
+            cayley.full_cayley_graph(m, side=side)
+    assert enumerate_all(m) is None
     monkeypatch.undo()
     report = check_schutz_action(m, radius=3)
     assert not report.exact

@@ -1183,7 +1183,8 @@ def test_full_cayley_graph_not_finite_within_cap():
     with pytest.raises(NotFinite):
         cayley.full_cayley_graph(catalog.monoid("bicyclic"), cap=50)
     size = len(enumerate_all(catalog.monoid("t3")))
-    with pytest.raises(NotFinite):
+    # the one message FiniteMonoid gives too
+    with pytest.raises(NotFinite, match="^monoid not exhausted within cap %d$" % (size - 1)):
         cayley.full_cayley_graph(catalog.monoid("t3"), cap=size - 1)
     assert len(cayley.full_cayley_graph(catalog.monoid("t3"), cap=size)) == size
 
@@ -1818,7 +1819,7 @@ def test_enumeration_matches_the_bfs_keys_loop(name, make):
         want, _exhausted = reference_bfs_keys(m, radius, monoids.DEFAULT_CAP)
         got = monoids.enumerate_out_ball(m, radius)
         assert [(le.element.key, le.length) for le in got] == want
-    for cap in (5, 400):
+    for cap in (0, 5, 400):
         try:
             ball, exhausted = reference_bfs_keys(m, None, cap)
         except CapExceeded:
@@ -1867,6 +1868,8 @@ def test_caps_fail_as_the_loops_did(name, make):
         assert raised(lambda: FiniteMonoid(m, cap=size - 1)) == raised(
             lambda: reference_froidure_pin(m, cap=size - 1)) == (
             NotFinite, "monoid not exhausted within cap %d" % (size - 1))
+        assert raised(lambda: FiniteMonoid(m, cap=0)) == raised(
+            lambda: reference_froidure_pin(m, cap=0))
 
 
 @st.composite
