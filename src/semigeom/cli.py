@@ -80,7 +80,7 @@ _positive = _checked(descriptions.parse_rational, "a rational > 0", lambda q: q 
 
 
 def _fmt(q):
-    return descriptions.format_rational(Fraction(q))
+    return str(Fraction(q))
 
 
 def _yes(flag):

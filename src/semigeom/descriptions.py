@@ -1,14 +1,16 @@
 """Loading of monoid, space, and map description dicts; dumping of spaces.
 
 The on-disk format is JSON.  Rationals serialize as "p/q" strings (plain
-integers, and a sign before p, are accepted); infinity in a distance
-matrix is null.  Loading a monoid re-checks all structural invariants (rule
-orientation, completeness, associativity), so a loaded backend is always
-in a valid state.
+integers, and a sign before p, are accepted), which parse_ratio alone reads,
+into ints; infinity in a distance matrix is null.  load_space hands a file's
+rows unread to make_space, whose scaled_rows makes no Fraction per entry.
+Loading a monoid re-checks all structural invariants (rule orientation,
+completeness, associativity), so a loaded backend is always valid.
 """
 
 import re
 from fractions import Fraction
+from math import gcd
 
 
 def load_monoid(desc):
@@ -66,28 +68,37 @@ def _entry(desc, key, what):
     return desc[key]
 
 
-def parse_rational(value):
-    if isinstance(value, bool) or value is None:
-        raise ValueError("expected a rational, got %r" % value)
-    if isinstance(value, int):
-        return Fraction(value)
+class NotRational(ValueError, TypeError):
+    """No int or string where a rational is read (a TypeError to the API)."""
+
+
+# the documented forms only, read by int(): Fraction(str) also takes
+# exponents, decimal points, underscores and spaces, and builds 10**(10**7)
+# from "1e10000000"
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_ratio(value):
+    """(p, q): an int or 'p/q' string as ints in lowest terms, q > 0."""
     if isinstance(value, str):
-        # the documented forms only, read by int(): Fraction(str) also takes
-        # exponents, decimal points, underscores and spaces, and builds
-        # 10**(10**7) from "1e10000000"
-        match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value)
+        match = _RATIO.fullmatch(value)
         if match is None:
             raise ValueError("Invalid literal for Fraction: %r" % value)
-        num, den = match.groups()
-        try:
-            return Fraction(int(num), int(den or 1))
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % value) from None
-    raise ValueError("expected int or 'p/q' string, got %r" % value)
+        p, q = int(match[1]), int(match[2] or 1)
+        if q == 0:
+            raise ValueError("zero denominator in %r" % value)
+        g = gcd(p, q)
+        return p // g, q // g
+    if isinstance(value, bool) or value is None:
+        raise NotRational("expected a rational, got %r" % value)
+    if isinstance(value, int):
+        return value, 1
+    raise NotRational("expected int or 'p/q' string, got %r" % value)
 
 
-def format_rational(q):
-    return str(q)
+def parse_rational(value):
+    """parse_ratio's value as a Fraction, for the CLI's rational options."""
+    return Fraction(*parse_ratio(value))
 
 
 _STRING = (lambda item: isinstance(item, str), "a string")
@@ -127,27 +138,15 @@ def load_space(desc):
         not isinstance(r, list) or len(r) != len(points) for r in rows
     ):
         raise ValueError("dist matrix must be %d x %d" % (len(points), len(points)))
-    # parsed as make_space consumes them, so a bad entry is reported in
-    # matrix order whether it fails parsing or the nonnegativity check
-    matrix = (
-        (None if v is None else parse_rational(v) for v in row) for row in rows
-    )
-    return make_space(points, matrix)
+    # read row-major: the first bad entry is reported, whatever its fault
+    return make_space(points, rows)
 
 
 def dump_space(space):
-    rows = []
-    for row in space.dist:
-        out = []
-        for d in row:
-            if d.is_infinite():
-                out.append(None)
-            elif d.is_finite():
-                out.append(format_rational(d.value))
-            else:
-                raise ValueError("cannot serialize horizon-stamped entries")
-        rows.append(out)
-    return {"points": list(space.points), "dist": rows}
+    if not space.exact:
+        raise ValueError("cannot serialize horizon-stamped entries")
+    return {"points": list(space.points), "dist": [
+        [str(d.value) if d.is_finite() else None for d in row] for row in space.dist]}
 
 
 def load_point_map(desc, source, target):

@@ -10,7 +10,7 @@ through sums so that derived quantities stay honestly marked.
 from fractions import Fraction
 from math import lcm
 
-from .descriptions import parse_rational
+from .descriptions import parse_ratio
 
 _FINITE = 0
 _INFINITE = 1
@@ -84,22 +84,22 @@ class ExtDist:
         return ">%d" % self.horizon
 
 
-def _rational(value):
-    """A nonnegative int, Fraction or 'p/q' string (read by parse_rational) as a Fraction."""
-    if isinstance(value, str):
-        value = parse_rational(value)
-    elif isinstance(value, int):
-        value = Fraction(value)
-    elif not isinstance(value, Fraction):
-        raise TypeError("finite distance must be rational, got %r" % (value,))
-    if value < 0:
-        raise ValueError("distances are nonnegative, got %s" % value)
-    return value
+def _ratio(value):
+    """A nonnegative int, Fraction or 'p/q' string as parse_ratio's (p, q)."""
+    # str and int first: isinstance(value, Fraction), an ABC, is the slow test
+    if isinstance(value, (str, int)) or not isinstance(value, Fraction):
+        p, q = parse_ratio(value)
+    else:
+        p, q = value.numerator, value.denominator
+    if p < 0:
+        raise ValueError("distances are nonnegative, got %s" % Fraction(p, q))
+    return p, q
 
 
 def finite(value):
     """Wrap a nonnegative rational (int, Fraction, or 'p/q' string)."""
-    return ExtDist(_FINITE, value=_rational(value))
+    p, q = _ratio(value)
+    return ExtDist(_FINITE, value=value if type(value) is Fraction else Fraction(p, q))
 
 
 def beyond(horizon):
@@ -115,12 +115,12 @@ INF = float("inf")
 
 
 def _code(entry):
-    """One matrix entry as scaled_rows codes it, before scaling: a Fraction
-    for a finite value, INF, or the int -1 - h for beyond(h)."""
+    """One matrix entry as scaled_rows codes it, before scaling: the ints
+    (p, q) for a finite p/q, INF, or the int -1 - h for beyond(h)."""
     if not isinstance(entry, ExtDist):
-        return INF if entry is None else _rational(entry)
+        return INF if entry is None else _ratio(entry)
     if entry._status == _FINITE:
-        return entry.value
+        return entry.value.numerator, entry.value.denominator
     if entry._status == _INFINITE:
         return INF
     return -1 - entry.horizon
@@ -130,18 +130,19 @@ def scaled_rows(matrix):
     """(L, rows): a distance matrix as exact integers over one denominator.
 
     Entries are ExtDist values, None (infinity) or what finite() takes;
-    each is checked as it is consumed, so the first bad one in row-major
-    order raises what finite() raises for it.  L is the least common
-    denominator of the finite entries.  In the rows a finite entry d is the
-    int d * L, infinity is the float INF and a horizon stamp beyond(h) is
-    the negative int -1 - h, so that a sign test finds the stamps and
-    decode reads each entry back.  Every check that compares entries (or
-    entries and constants brought onto the same scale) runs on these ints.
+    each is read as ints (no Fraction is made for it) and checked as it is
+    consumed, so the first bad one in row-major order raises what finite()
+    raises for it.  L is the least common denominator of the finite
+    entries.  In the rows a finite entry d is the int d * L, infinity is
+    the float INF and a horizon stamp beyond(h) is the negative int -1 - h,
+    so that a sign test finds the stamps and decode reads each entry back.
+    Every check that compares entries (or entries and constants brought
+    onto the same scale) runs on these ints.
     """
     codes = [list(map(_code, row)) for row in matrix]
-    scale = lcm(*{q.denominator for row in codes for q in row if isinstance(q, Fraction)})
-    return scale, [[q.numerator * (scale // q.denominator) if isinstance(q, Fraction) else q
-                    for q in row] for row in codes]
+    scale = lcm(*{c[1] for row in codes for c in row if type(c) is tuple})
+    return scale, [[c[0] * (scale // c[1]) if type(c) is tuple else c for c in row]
+                   for row in codes]
 
 
 def decode(code, scale=1):

@@ -8,17 +8,17 @@ holds only when the larger side is infinite too) and skip pairs carrying
 a horizon stamp, counting them so reports can say how much was left
 undecided.
 
-A space is built from its rows alone.  make_space, and so a loaded
-space, encodes its entries once with scaled_rows and is validated by the
-cubic semimetric-axiom scan, as is the output of symmetrize.  Ball and
-monoid spaces take their rows, on scale 1, straight from BFS depths: a
-monoid space needs no check, and a ball space is validated in
-O(|V| (|V| + |E|)) by certifying that each row is the ball's BFS depth
-function (certify_ball_rows).  A space's ExtDist matrix is made only
-when the API or a printer reads it.  Every check compares the integers,
-with the constants brought onto the same scale by cross-multiplication;
-nothing goes through floating point and no Fraction arithmetic runs per
-entry.  Fractions appear only in reported values.
+A space is built from its rows alone.  make_space reads its entries (a
+loaded space's file entries as they are) straight to ints with
+scaled_rows, and the cubic semimetric-axiom scan validates them, as it
+does symmetrize's output.  Ball and monoid spaces take their rows, on
+scale 1, straight from BFS depths: a monoid space needs no check, and a
+ball space is validated in O(|V| (|V| + |E|)) by certifying that each
+row is the ball's BFS depth function (certify_ball_rows).  A space's
+ExtDist matrix is made only when the API or a printer reads it.  Every
+check compares the integers, with the constants brought onto the same
+scale by cross-multiplication; nothing goes through floating point and
+no Fraction is made per entry.  Fractions appear only in reported values.
 
 The quasi-isometric embedding inequalities for a map f and constants
 (lambda, epsilon) are

@@ -689,6 +689,13 @@ def test_invalid_space_rejected(capsys, tmp_path):
     ([[0, "-1"], ["x", 0]], "error: distances are nonnegative, got -1"),
     ([[0, "x"], ["-1", 0]], "error: Invalid literal for Fraction: 'x'"),
     ([[0, True], [1, 0]], "error: expected a rational, got True"),
+    # a JSON number other than an int, a list or an object is no rational;
+    # the sign check reads an entry in lowest terms
+    ([[0, 1.5], ["-1", 0]], "error: expected int or 'p/q' string, got 1.5"),
+    ([[0, "-1"], [1.5, 0]], "error: distances are nonnegative, got -1"),
+    ([[0, [1]], [1, 0]], "error: expected int or 'p/q' string, got [1]"),
+    ([[0, {"a": 1}], [1, 0]], "error: expected int or 'p/q' string, got {'a': 1}"),
+    ([[0, "-2/4"], [1, 0]], "error: distances are nonnegative, got -1/2"),
     ([[0, 1], [1]], "error: dist matrix must be 2 x 2"),
     ([[0, 1], [1, 1]],
      "error: semimetric axioms violated: Violation(kind='diagonal', points=(1,))"),

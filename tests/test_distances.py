@@ -19,6 +19,9 @@ def test_finite_accepts_int_fraction_and_string():
     assert finite(Fraction(3, 2)).value == Fraction(3, 2)
     assert finite("3/2").value == Fraction(3, 2)
     assert finite("3/2") == finite(Fraction(3, 2))
+    # decode hands finite() a new Fraction, which it keeps as it is
+    q = Fraction(3, 2)
+    assert finite(q).value is q
 
 
 @pytest.mark.parametrize("text", ["1e2000000", "1e3", "1.5", " 1/2 "])
@@ -46,6 +49,22 @@ def test_finite_rejects_floats_and_negatives():
         finite(-1)
     with pytest.raises(ValueError):
         finite(Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("call, value", [
+    (finite, True),
+    (finite, False),
+    (lambda value: make_space(["u", "v"], [[0, value], [1, 0]]), True),
+    (lambda value: make_space(["u", "v"], [[value, True], [True, 0]]), False),
+    (lambda value: scaled_rows([[1, value]]), True),
+])
+def test_bools_are_not_rationals(call, value):
+    # a space file refuses them with this text; finite(True) was once the
+    # distance 1, and make_space read False and True as 0 and 1
+    message = "expected a rational, got %r" % value
+    with pytest.raises(TypeError, match="^%s$" % re.escape(message)) as got:
+        call(value)
+    assert isinstance(got.value, ValueError)
 
 
 def test_classification_predicates():

@@ -22,10 +22,12 @@ loops.
 """
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from math import lcm
 from operator import sub
 
 import pytest
@@ -35,7 +37,9 @@ from hypothesis import strategies as st
 from conftest import rand_transformation_monoid
 from semigeom import catalog, cayley, geometry, green, monoids
 from semigeom.cayley import build_cayley_ball, distance_table
-from semigeom.distances import INF, INFINITE, ZERO, beyond, decode, finite, scaled_rows
+from semigeom.descriptions import NotRational
+from semigeom.distances import (INF, INFINITE, ZERO, ExtDist, beyond, decode, finite,
+                                scaled_rows)
 from semigeom.errors import (CapExceeded, InvalidSpace, NotACongruence, NotFinite,
                              NotGenerating, NotStronglyConnected)
 from semigeom.geometry import (
@@ -200,6 +204,50 @@ def reference_symmetrize(space, eps=0):
                 backward_ok = False
     return (tuple(map(tuple, rows)), lam, eps, lam_p, metric_ok, forward_ok, back_lam, back_eps,
             backward_ok)
+
+
+def reference_rational(value):
+    """One entry as the loader read it before scaled_rows read ints: a
+    Fraction, from int() of the documented text, refused as the loader
+    refused it (what is no int or string as NotRational)."""
+    if isinstance(value, Fraction):
+        q = value
+    elif isinstance(value, bool) or value is None:
+        raise NotRational("expected a rational, got %r" % value)
+    elif isinstance(value, int):
+        q = Fraction(value)
+    elif isinstance(value, str):
+        match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value)
+        if match is None:
+            raise ValueError("Invalid literal for Fraction: %r" % value)
+        num, den = match.groups()
+        try:
+            q = Fraction(int(num), int(den or 1))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % value) from None
+    else:
+        raise NotRational("expected int or 'p/q' string, got %r" % value)
+    if q < 0:
+        raise ValueError("distances are nonnegative, got %s" % q)
+    return q
+
+
+def reference_code(entry):
+    if entry is None:
+        return INF
+    if not isinstance(entry, ExtDist):
+        return reference_rational(entry)
+    if entry.is_finite():
+        return entry.value
+    return INF if entry.is_infinite() else -1 - entry.horizon
+
+
+def reference_scaled_rows(matrix):
+    """scaled_rows through one Fraction per entry."""
+    codes = [list(map(reference_code, row)) for row in matrix]
+    scale = lcm(*{q.denominator for row in codes for q in row if isinstance(q, Fraction)})
+    return scale, [[q.numerator * (scale // q.denominator) if isinstance(q, Fraction) else q
+                    for q in row] for row in codes]
 
 
 def reference_pair_need(dx, dy, eps, lam_max):
@@ -471,6 +519,55 @@ def test_symmetrize_matches_pair_loop(rows, eps):
         assert type(q) is Fraction
     for row in got.space.dist:
         assert all(type(d.value) is Fraction for d in row)
+
+
+# what a space file or an API caller may put in a matrix: "p/q" text with
+# signs, leading zeros and unreduced forms, numerators around 10**30
+DIGITS = st.one_of(st.integers(0, 99), st.integers(10**29, 10**31))
+RATIO_TEXT = st.one_of(
+    st.builds(lambda sign, zeros, p, q: "%s%s%d%s" % (sign, "0" * zeros, p, q),
+              st.sampled_from(["", "+", "-"]), st.integers(0, 2), DIGITS,
+              st.one_of(st.just(""), st.builds("/{}{}".format, st.sampled_from(["", "0"]),
+                                               st.integers(1, 60)))),
+    st.sampled_from(["-0", "+3", "4/6", "0/7", "000/012", "6/3", "-0/5"]),
+)
+GOOD_ENTRIES = st.one_of(
+    st.integers(0, 40), DIGITS, RATIO_TEXT.filter(lambda t: not t.startswith("-")),
+    st.sampled_from(["-0", "-0/5"]),
+    st.builds(Fraction, DIGITS, st.integers(1, 60)), st.none(),
+    st.builds(Fraction, st.integers(0, 40), st.integers(1, 12)).map(finite),
+    st.just(INFINITE), st.integers(0, 9).map(beyond),
+)
+# a third of the text is negative; the rest are entries the reader refuses
+BAD_ENTRIES = st.one_of(
+    RATIO_TEXT, st.integers(-40, -1), st.builds(Fraction, st.integers(-40, -1),
+                                                st.integers(1, 12)),
+    st.sampled_from(["-2/4", "1/0", "-3/00", "1e3", "1.5", " 1", "x", "", 1.5, 0.0, True,
+                     False, [1], {"a": 1}, 1j, b"1"]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_scaled_rows_matches_the_fraction_encoder(data):
+    """Equal (scale, rows), or, at the first bad entry in row-major order,
+    the same exception type and text."""
+    n = data.draw(st.integers(1, 5))
+    matrix = data.draw(st.lists(st.lists(GOOD_ENTRIES, min_size=n, max_size=n),
+                                min_size=n, max_size=n))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        matrix[i][j] = data.draw(BAD_ENTRIES)
+    try:
+        want = reference_scaled_rows(matrix)
+    except (TypeError, ValueError) as error:
+        with pytest.raises(type(error)) as got:
+            scaled_rows(matrix)
+        assert (type(got.value), str(got.value)) == (type(error), str(error))
+        return
+    got = scaled_rows(matrix)
+    assert got == want
+    assert all(type(c) is int or c == INF for row in got[1] for c in row)
 
 
 def test_symmetrize_backward_certificate_needs_its_epsilon():
