@@ -689,13 +689,6 @@ def test_invalid_space_rejected(capsys, tmp_path):
     ([[0, "-1"], ["x", 0]], "error: distances are nonnegative, got -1"),
     ([[0, "x"], ["-1", 0]], "error: Invalid literal for Fraction: 'x'"),
     ([[0, True], [1, 0]], "error: expected a rational, got True"),
-    # a JSON number other than an int, a list or an object is no rational;
-    # the sign check reads an entry in lowest terms
-    ([[0, 1.5], ["-1", 0]], "error: expected int or 'p/q' string, got 1.5"),
-    ([[0, "-1"], [1.5, 0]], "error: distances are nonnegative, got -1"),
-    ([[0, [1]], [1, 0]], "error: expected int or 'p/q' string, got [1]"),
-    ([[0, {"a": 1}], [1, 0]], "error: expected int or 'p/q' string, got {'a': 1}"),
-    ([[0, "-2/4"], [1, 0]], "error: distances are nonnegative, got -1/2"),
     ([[0, 1], [1]], "error: dist matrix must be 2 x 2"),
     ([[0, 1], [1, 1]],
      "error: semimetric axioms violated: Violation(kind='diagonal', points=(1,))"),
@@ -705,6 +698,14 @@ def test_invalid_space_rejected(capsys, tmp_path):
     # any check runs
     ([[0, entry], [1, 0]], "error: Invalid literal for Fraction: %r" % entry)
     for entry in ["1e10000000", "1e3", "1_0", " 1/2 ", "1.5", "1/2/3", "\u0663", ""]
+] + [
+    # a JSON number other than an int, a list or an object is no rational;
+    # the sign check reads an entry in lowest terms
+    ([[0, 1.5], ["-1", 0]], "error: expected int or 'p/q' string, got 1.5"),
+    ([[0, "-1"], [1.5, 0]], "error: distances are nonnegative, got -1"),
+    ([[0, [1]], [1, 0]], "error: expected int or 'p/q' string, got [1]"),
+    ([[0, {"a": 1}], [1, 0]], "error: expected int or 'p/q' string, got {'a': 1}"),
+    ([[0, "-2/4"], [1, 0]], "error: distances are nonnegative, got -1/2"),
 ])
 def test_space_load_reports_first_bad_entry(capsys, tmp_path, dist, reason):
     path = write_json(tmp_path, "bad.space", {"points": ["u", "v"], "dist": dist})
